@@ -16,6 +16,7 @@ import (
 	"math/bits"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/dense"
 )
 
 // Entry is one directory entry: the global state of one memory block.
@@ -56,58 +57,46 @@ func (e *Entry) AnyHolderExcept(n addr.Node) (addr.Node, bool) {
 // Directory is the machine-wide set of directory entries, logically
 // partitioned across home nodes by the home function.
 //
-// Entries are carved out of fixed-capacity chunks rather than allocated
-// one by one: preloading a working set touches thousands of blocks, and
-// per-Entry allocations dominated the simulator's heap profile. A chunk is
-// never reallocated once handed out, so *Entry pointers stay stable for
-// the life of the directory.
+// Entries are indexed by block number, as a home's directory pages are
+// (§4): a dense table, not a hash, so preloading a working set and every
+// home-side lookup cost an index computation. *Entry pointers stay stable
+// for the life of the directory.
 type Directory struct {
-	entries map[uint64]*Entry
-	arena   []Entry // current chunk; full when len == cap
+	entries   dense.Table[Entry]
+	blockBits uint
 }
 
-// arenaChunk is the entry-arena chunk size.
-const arenaChunk = 1024
-
-// NewDirectory returns an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{entries: make(map[uint64]*Entry)}
+// NewDirectory returns an empty directory over blocks of 2^blockBits bytes.
+func NewDirectory(blockBits uint) *Directory {
+	return &Directory{blockBits: blockBits}
 }
 
 // Lookup returns the entry for block, or nil.
-func (d *Directory) Lookup(block uint64) *Entry { return d.entries[block] }
+func (d *Directory) Lookup(block uint64) *Entry { return d.entries.Lookup(block >> d.blockBits) }
 
 // Ensure returns the entry for block, creating an empty one if needed.
-func (d *Directory) Ensure(block uint64) *Entry {
-	e := d.entries[block]
-	if e == nil {
-		if len(d.arena) == cap(d.arena) {
-			d.arena = make([]Entry, 0, arenaChunk)
-		}
-		d.arena = d.arena[:len(d.arena)+1]
-		e = &d.arena[len(d.arena)-1]
-		d.entries[block] = e
-	}
-	return e
-}
+func (d *Directory) Ensure(block uint64) *Entry { return d.entries.Ensure(block >> d.blockBits) }
 
 // Remove deletes block's entry, if any (address-mapping change: the
-// directory page is reclaimed).
-func (d *Directory) Remove(block uint64) { delete(d.entries, block) }
+// directory page is reclaimed). The entry is zeroed in place.
+func (d *Directory) Remove(block uint64) { d.entries.Remove(block >> d.blockBits) }
 
 // Len returns the number of entries.
-func (d *Directory) Len() int { return len(d.entries) }
+func (d *Directory) Len() int { return d.entries.Len() }
 
 // CheckInvariants validates directory-wide consistency against the per-node
 // attraction memories via the probe function (which must return each node's
-// view of the block without side effects). Used by tests and debug runs.
+// view of the block without side effects), visiting blocks in ascending
+// order so the first violation reported is deterministic. Used by tests and
+// debug runs.
 func (d *Directory) CheckInvariants(probe func(n addr.Node, block uint64) ProbeState, nodes int) error {
-	for block := range d.entries {
-		if err := d.CheckBlock(block, probe, nodes); err != nil {
-			return err
+	var err error
+	d.entries.Each(func(i uint64, _ *Entry) {
+		if err == nil {
+			err = d.CheckBlock(i<<d.blockBits, probe, nodes)
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // CheckBlock validates one block's directory entry against the per-node
@@ -116,7 +105,7 @@ func (d *Directory) CheckInvariants(probe func(n addr.Node, block uint64) ProbeS
 // blocks. A block with no entry must have no resident copies. Used by the
 // runtime invariant checker (internal/check) after every touched reference.
 func (d *Directory) CheckBlock(block uint64, probe func(n addr.Node, block uint64) ProbeState, nodes int) error {
-	e := d.entries[block]
+	e := d.Lookup(block)
 	if e == nil {
 		for n := 0; n < nodes; n++ {
 			if probe(addr.Node(n), block).Present {

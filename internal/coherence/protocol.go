@@ -121,7 +121,7 @@ func New(g addr.Geometry, timing config.Timing, home func(block uint64) addr.Nod
 		g:      g,
 		timing: timing,
 		home:   home,
-		dir:    NewDirectory(),
+		dir:    NewDirectory(g.AMBlockBits),
 		fabric: network.New(g.Nodes(), timing.NetRequest, timing.NetBlock),
 		hooks:  hooks,
 		rng:    prng.New(seed),

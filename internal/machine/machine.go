@@ -356,13 +356,23 @@ func (m *Machine) NoWritebackBanks() []*tlb.Bank { return m.nowbBanks }
 // placed at the node its global-set slot names (spreading frames across the
 // machine), with the directory entry at the block's home node. Must run
 // before the first Access.
+//
+// A region's preloaded blocks are the ceil(Bytes/blocksize) consecutive
+// blocks starting at the one holding its base. Translation and placement
+// are per page, so each is resolved once per page rather than per block.
 func (m *Machine) Preload(l *vm.Layout) {
 	l.PreloadAll(m.sys)
 	bs := m.g.AMBlockSize()
 	for _, r := range l.Regions() {
-		for off := uint64(0); off < r.Bytes; off += bs {
-			va := m.g.Block(r.Base + addr.Virtual(off))
-			m.prot.Preload(m.protoAddr(va), m.sys.PlacementNode(va))
+		va := m.g.Block(r.Base)
+		end := va + addr.Virtual((r.Bytes+bs-1)/bs*bs)
+		for va < end {
+			pageEnd := min(m.g.PageBase(va)+addr.Virtual(m.g.PageSize()), end)
+			block, at := m.protoAddr(va), m.sys.PlacementNode(va)
+			for ; va < pageEnd; va += addr.Virtual(bs) {
+				m.prot.Preload(block, at)
+				block += bs
+			}
 		}
 	}
 }
@@ -373,6 +383,18 @@ func (m *Machine) protoAddr(va addr.Virtual) uint64 {
 		return uint64(m.sys.Translate(va))
 	}
 	return uint64(va)
+}
+
+// resolve translates va once, returning its physical address (zero in the
+// virtually-addressed schemes) and the protocol address of its AM block. A
+// page maps whole blocks, so the physically-addressed schemes take the
+// block from pa rather than translating the block address again.
+func (m *Machine) resolve(va addr.Virtual) (pa, protoBlock uint64) {
+	if m.cfg.Scheme <= config.L2TLB {
+		pa = uint64(m.sys.Translate(va))
+		return pa, pa &^ (m.g.AMBlockSize() - 1)
+	}
+	return 0, uint64(m.g.Block(va))
 }
 
 // ProtoBlock returns the protocol address of the AM block containing va,
@@ -494,10 +516,7 @@ func (m *Machine) Access(now uint64, n addr.Node, va addr.Virtual, write bool) A
 	}
 
 	// Resolve per-level addresses.
-	var pa uint64
-	if scheme <= config.L2TLB {
-		pa = uint64(m.sys.Translate(va))
-	}
+	pa, protoBlock := m.resolve(va)
 	var flcAddr, slcAddr uint64
 	switch scheme {
 	case config.L0TLB:
@@ -507,7 +526,6 @@ func (m *Machine) Access(now uint64, n addr.Node, va addr.Virtual, write bool) A
 	default:
 		flcAddr, slcAddr = uint64(va), uint64(va)
 	}
-	protoBlock := m.protoAddr(g.Block(va))
 
 	flc, slc := m.flcs[n], m.slcs[n]
 

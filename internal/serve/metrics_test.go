@@ -30,8 +30,8 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		t.Fatalf("content type %q, want text exposition v0.0.4", ct)
 	}
 
-	types := map[string]string{}  // series name -> declared TYPE
-	help := map[string]bool{}     // series with a HELP line
+	types := map[string]string{}   // series name -> declared TYPE
+	help := map[string]bool{}      // series with a HELP line
 	values := map[string]float64{} // full sample name (incl. labels) -> value
 	var order []string             // sample names in exposition order
 	for _, line := range strings.Split(string(body), "\n") {

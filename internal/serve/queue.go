@@ -74,16 +74,16 @@ type Job struct {
 	Spec Spec
 	Key  runner.Key
 
-	mu       sync.Mutex
-	state    State
-	err      string
-	waiters  map[string]string // cancellation token → tenant; empty → cancel
-	priority Priority          // effective: most urgent among waiters
-	tenant   string            // fairness bucket (first submitter)
-	tenants  map[string]int    // waiter count per tenant, for introspection
-	progress []string
-	change   chan struct{}      // closed and replaced on every visible change
-	cancel   context.CancelFunc // set while running
+	mu              sync.Mutex
+	state           State
+	err             string
+	waiters         map[string]string // cancellation token → tenant; empty → cancel
+	priority        Priority          // effective: most urgent among waiters
+	tenant          string            // fairness bucket (first submitter)
+	tenants         map[string]int    // waiter count per tenant, for introspection
+	progress        []string
+	change          chan struct{}      // closed and replaced on every visible change
+	cancel          context.CancelFunc // set while running
 	cancelRequested bool
 
 	// Request-trace state (nil when the submit was untraced). The first
@@ -127,16 +127,16 @@ func (j *Job) Watch() <-chan struct{} {
 
 // Status is a point-in-time snapshot of a job for the HTTP API.
 type Status struct {
-	Key      string    `json:"key"`
-	Name     string    `json:"name"`
-	TraceID  string    `json:"trace_id,omitempty"`
-	State    string    `json:"state"`
-	Priority string    `json:"priority"`
-	Tenants  int       `json:"tenants"`
-	Waiters  int       `json:"waiters"`
-	Error    string    `json:"error,omitempty"`
-	Progress []string  `json:"progress,omitempty"`
-	QueuedAt time.Time `json:"queued_at"`
+	Key       string     `json:"key"`
+	Name      string     `json:"name"`
+	TraceID   string     `json:"trace_id,omitempty"`
+	State     string     `json:"state"`
+	Priority  string     `json:"priority"`
+	Tenants   int        `json:"tenants"`
+	Waiters   int        `json:"waiters"`
+	Error     string     `json:"error,omitempty"`
+	Progress  []string   `json:"progress,omitempty"`
+	QueuedAt  time.Time  `json:"queued_at"`
 	StartedAt *time.Time `json:"started_at,omitempty"`
 	DoneAt    *time.Time `json:"done_at,omitempty"`
 }

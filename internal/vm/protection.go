@@ -65,26 +65,27 @@ func (s *System) SetProtection(v addr.Virtual, prot Prot) *Page {
 // freed, and the record is returned so the machine can flush stale state
 // (TLB entries, cache blocks, attraction-memory copies). Unmapping an
 // unmapped page is an error: the callers all hold a reason to believe the
-// page exists.
+// page exists. The returned record is a copy: the page-table slot itself is
+// cleared.
 func (s *System) Unmap(v addr.Virtual) (*Page, error) {
 	pn := s.g.Page(v)
-	p := s.pages[pn]
-	if p == nil {
+	slot := s.pages.Lookup(uint64(pn))
+	if slot == nil {
 		return nil, fmt.Errorf("vm: unmap of unmapped page %#x", uint64(pn))
 	}
-	delete(s.pages, pn)
-	s.dropMemo(pn)
+	p := *slot
+	s.pages.Remove(uint64(pn))
 	var gps int
 	switch s.mode {
 	case PhysicalRoundRobin:
 		gps = s.g.GlobalPageSetOfFrame(p.Frame)
-		delete(s.frames, p.Frame)
+		s.frames.Remove(uint64(p.Frame))
 	case Colored:
 		gps = s.g.GlobalPageSet(pn)
-		delete(s.frames, p.Frame)
+		s.frames.Remove(uint64(p.Frame))
 	case VirtualOnly:
 		gps = s.g.GlobalPageSet(pn)
 	}
 	s.gpsPages[gps]--
-	return p, nil
+	return &p, nil
 }

@@ -15,6 +15,7 @@ import (
 	"fmt"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/dense"
 )
 
 // Mode selects the virtual-to-physical mapping policy.
@@ -75,19 +76,13 @@ type System struct {
 	g    addr.Geometry
 	mode Mode
 
-	pages map[addr.PageNum]*Page
-	// memo is a direct-mapped front for the pages map: the translation path
-	// runs on every simulated reference (often twice — data and protocol
-	// addresses), and references repeat pages in bursts, so most lookups are
-	// answered by one tag compare instead of a map probe. Entries are
-	// evicted by index collision and the whole memo drops on Unmap; a nil
-	// memoPage slot is simply a miss, so staleness cannot outlive an unmap.
-	memoPN   [pageMemoSize]addr.PageNum
-	memoPage [pageMemoSize]*Page
+	// pages is the page table, indexed by virtual page number; the
+	// translation path runs on every simulated reference.
+	pages dense.Table[Page]
 	// frames reverse-maps allocated frames to their virtual page, the
 	// simulator's stand-in for the backpointers a physical cache keeps to
 	// reach the virtual caches under it (paper §2.2.2).
-	frames map[addr.Frame]addr.PageNum
+	frames dense.Table[addr.PageNum]
 
 	nextFrame addr.Frame // PhysicalRoundRobin allocation cursor
 
@@ -112,8 +107,6 @@ func NewSystem(g addr.Geometry, mode Mode) *System {
 	return &System{
 		g:           g,
 		mode:        mode,
-		pages:       make(map[addr.PageNum]*Page),
-		frames:      make(map[addr.Frame]addr.PageNum),
 		gpsPages:    make([]int, g.GlobalPageSets()),
 		gpsOverflow: make([]int, g.GlobalPageSets()),
 		dirPages:    make([]int, g.Nodes()),
@@ -130,35 +123,25 @@ func (s *System) Mode() Mode { return s.mode }
 func (s *System) Faults() uint64 { return s.faults }
 
 // MappedPages returns the number of resident pages.
-func (s *System) MappedPages() int { return len(s.pages) }
+func (s *System) MappedPages() int { return s.pages.Len() }
 
 // Lookup returns the page record for v's page, or nil if unmapped.
-func (s *System) Lookup(v addr.Virtual) *Page { return s.pages[s.g.Page(v)] }
-
-// pageMemoSize is the direct-mapped page-memo size (power of two). 256
-// entries cover the hot working set of every paper workload.
-const pageMemoSize = 256
+func (s *System) Lookup(v addr.Virtual) *Page { return s.pages.Lookup(uint64(s.g.Page(v))) }
 
 // Ensure maps v's page if needed and returns its record. This is the page-
 // fault path; with preloaded data it only fires on first touch.
 func (s *System) Ensure(v addr.Virtual) *Page {
 	pn := s.g.Page(v)
-	slot := int(pn) & (pageMemoSize - 1)
-	if p := s.memoPage[slot]; p != nil && s.memoPN[slot] == pn {
+	if p := s.pages.Lookup(uint64(pn)); p != nil {
 		return p
 	}
-	p := s.pages[pn]
-	if p == nil {
-		p = s.mapPage(pn)
-	}
-	s.memoPN[slot] = pn
-	s.memoPage[slot] = p
-	return p
+	return s.mapPage(pn)
 }
 
 func (s *System) mapPage(pn addr.PageNum) *Page {
 	s.faults++
-	p := &Page{Num: pn, Mode: s.mode, Prot: ProtRW}
+	p := s.pages.Ensure(uint64(pn))
+	*p = Page{Num: pn, Mode: s.mode, Prot: ProtRW}
 	switch s.mode {
 	case PhysicalRoundRobin:
 		p.Frame = s.nextFrame
@@ -185,18 +168,9 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		s.account(gps)
 	}
 	if s.mode != VirtualOnly {
-		s.frames[p.Frame] = pn
+		*s.frames.Ensure(uint64(p.Frame)) = pn
 	}
-	s.pages[pn] = p
 	return p
-}
-
-// dropMemo evicts pn's memo entry (if cached) after an unmap.
-func (s *System) dropMemo(pn addr.PageNum) {
-	slot := int(pn) & (pageMemoSize - 1)
-	if s.memoPN[slot] == pn {
-		s.memoPage[slot] = nil
-	}
 }
 
 func (s *System) account(gps int) {
@@ -218,17 +192,17 @@ func (s *System) Translate(v addr.Virtual) addr.Physical {
 }
 
 // TryTranslate maps a virtual address to its physical address if v's page
-// is already mapped, with no side effects: no first-touch mapping, no fault
-// accounting, no memo update. The parallel engine's contained access path
-// uses it to classify references against frozen VM state; any reference to
-// an unmapped page is deferred to the sequential drain, which performs the
+// is already mapped, with no side effects: no first-touch mapping and no
+// fault accounting. The parallel engine's contained access path uses it to
+// classify references against frozen VM state; any reference to an
+// unmapped page is deferred to the sequential drain, which performs the
 // first touch through Translate in exact sequential order. It panics in
 // VirtualOnly mode, like Translate.
 func (s *System) TryTranslate(v addr.Virtual) (addr.Physical, bool) {
 	if s.mode == VirtualOnly {
 		panic("vm: TryTranslate called on a V-COMA (virtual-only) system")
 	}
-	p := s.pages[s.g.Page(v)]
+	p := s.Lookup(v)
 	if p == nil {
 		return 0, false
 	}
@@ -249,15 +223,17 @@ func (s *System) DirAddrOf(v addr.Virtual) (addr.Node, addr.DirAddr) {
 // backpointer lookup used to reach virtual caches from physical addresses
 // (§2.2.2).
 func (s *System) ReversePage(f addr.Frame) (addr.PageNum, bool) {
-	pn, ok := s.frames[f]
-	return pn, ok
+	if pn := s.frames.Lookup(uint64(f)); pn != nil {
+		return *pn, true
+	}
+	return 0, false
 }
 
 // ReverseTranslate maps a physical address back to its virtual address. It
 // panics on an unmapped frame: the simulator only manufactures physical
 // addresses through Translate, so an unmapped frame is a bookkeeping bug.
 func (s *System) ReverseTranslate(pa addr.Physical) addr.Virtual {
-	pn, ok := s.frames[s.g.FrameOf(pa)]
+	pn, ok := s.ReversePage(s.g.FrameOf(pa))
 	if !ok {
 		panic(fmt.Sprintf("vm: reverse translation of unmapped physical address %#x", uint64(pa)))
 	}
@@ -273,7 +249,7 @@ func (s *System) Preload(base addr.Virtual, bytes uint64) {
 	first := s.g.Page(base)
 	last := s.g.Page(base + addr.Virtual(bytes-1))
 	for pn := first; pn <= last; pn++ {
-		if s.pages[pn] == nil {
+		if s.pages.Lookup(uint64(pn)) == nil {
 			s.mapPage(pn)
 		}
 	}

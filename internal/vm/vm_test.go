@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"vcoma/internal/addr"
+	"vcoma/internal/dense"
 )
 
 func g() addr.Geometry {
@@ -347,6 +348,75 @@ func TestUnmapReleasesFrameReverseMapping(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("reverse translation of an unmapped frame did not panic")
+		}
+	}()
+	s.ReverseTranslate(pa)
+}
+
+func TestPageTableUnmapRemapAcrossIndexRange(t *testing.T) {
+	gm := g()
+	// Pages in the first chunk, across a chunk boundary, and beyond the
+	// dense range.
+	pages := []addr.PageNum{0x10, 1023, 1024, dense.Cap - 1, dense.Cap, 1 << 40}
+	for _, mode := range []Mode{PhysicalRoundRobin, Colored, VirtualOnly} {
+		s := NewSystem(gm, mode)
+		for k, pn := range pages {
+			v := addr.Virtual(uint64(pn)<<gm.PageBits | 0x44)
+			if p := s.Ensure(v); p.Num != pn {
+				t.Fatalf("mode %v: page %#x mapped as %#x", mode, pn, p.Num)
+			}
+			s.SetReferenced(v)
+			if s.MappedPages() != k+1 {
+				t.Fatalf("mode %v: MappedPages = %d after %d maps", mode, s.MappedPages(), k+1)
+			}
+		}
+		for k, pn := range pages {
+			v := addr.Virtual(uint64(pn)<<gm.PageBits | 0x44)
+			var pa addr.Physical
+			if mode != VirtualOnly {
+				pa = s.Translate(v)
+				if got := s.ReverseTranslate(pa); got != v {
+					t.Fatalf("mode %v: reverse of %#x = %#x, want %#x", mode, uint64(pa), uint64(got), uint64(v))
+				}
+			}
+			old, err := s.Unmap(v)
+			if err != nil {
+				t.Fatalf("mode %v: %v", mode, err)
+			}
+			if old.Num != pn || !old.Referenced {
+				t.Fatalf("mode %v: Unmap returned %+v, want page %#x's record", mode, *old, pn)
+			}
+			if s.Lookup(v) != nil || s.MappedPages() != len(pages)-k-1 {
+				t.Fatalf("mode %v: page %#x still mapped (MappedPages %d)", mode, pn, s.MappedPages())
+			}
+			if mode != VirtualOnly {
+				if _, ok := s.ReversePage(gm.FrameOf(pa)); ok {
+					t.Fatalf("mode %v: frame of page %#x still reverse-mapped", mode, pn)
+				}
+				assertReverseTranslatePanics(t, s, pa)
+			}
+		}
+		// Re-map everything: fresh records, reachable in both directions.
+		for k, pn := range pages {
+			v := addr.Virtual(uint64(pn)<<gm.PageBits | 0x44)
+			p := s.Ensure(v)
+			if p.Num != pn || p.Referenced || p.Prot != ProtRW || s.MappedPages() != k+1 {
+				t.Fatalf("mode %v: remap of page %#x gave %+v (MappedPages %d)", mode, pn, *p, s.MappedPages())
+			}
+			if mode != VirtualOnly {
+				if got := s.ReverseTranslate(s.Translate(v)); got != v {
+					t.Fatalf("mode %v: reverse of remapped page %#x = %#x, want %#x", mode, pn, uint64(got), uint64(v))
+				}
+			}
+		}
+	}
+}
+
+func assertReverseTranslatePanics(t *testing.T, s *System, pa addr.Physical) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("reverse translation of unmapped %#x did not panic", uint64(pa))
 		}
 	}()
 	s.ReverseTranslate(pa)
