@@ -33,8 +33,9 @@ type Frame uint64
 // BlocksPerPage contiguous entries.
 type DirAddr uint64
 
-// Node identifies a processing node, in [0, Nodes).
-type Node int
+// Node identifies a processing node, in [0, Nodes). It is 32 bits wide so
+// a directory entry (copyset, master, swapped flag) packs into 16 bytes.
+type Node int32
 
 // Geometry captures the machine's address-relevant parameters, all powers of
 // two, expressed as bit widths (the paper's p, n, b, s, k).

@@ -62,6 +62,16 @@ const (
 	stateDirty
 )
 
+// line is one cache line's record. A set's ways are adjacent, so a lookup
+// reads one contiguous run, and each line knows its way so LRU updates find
+// the set base without a division.
+type line struct {
+	tag   uint64 // block-aligned address
+	state uint8
+	age   uint8 // LRU age within the set; 0 = most recent, ways = fresh
+	way   uint8
+}
+
 // Cache is a set-associative cache. It tracks tags and dirty state only; no
 // data payloads are simulated.
 type Cache struct {
@@ -70,10 +80,7 @@ type Cache struct {
 	ways      int
 	writeBack bool
 
-	// Per-line arrays, set-major: index = set*ways + way.
-	tags  []uint64 // block-aligned address
-	state []uint8
-	age   []uint8 // LRU age within the set; 0 = most recent, ways = fresh
+	lines []line // set-major: index = set*ways + way
 
 	// dirtyScratch backs InvalidateRange's result between calls, so the
 	// inclusion-maintenance path (run on every SLC victim) allocates
@@ -104,15 +111,16 @@ func New(cfg config.CacheConfig) *Cache {
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		blockBits++
 	}
-	n := sets * cfg.Assoc
+	lines := make([]line, sets*cfg.Assoc)
+	for i := range lines {
+		lines[i].way = uint8(i % cfg.Assoc)
+	}
 	return &Cache{
 		blockBits: blockBits,
 		setMask:   uint64(sets - 1),
 		ways:      cfg.Assoc,
 		writeBack: cfg.WriteBack,
-		tags:      make([]uint64, n),
-		state:     make([]uint8, n),
-		age:       make([]uint8, n),
+		lines:     lines,
 	}
 }
 
@@ -156,9 +164,9 @@ func (c *Cache) setBase(a uint64) int {
 func (c *Cache) find(a uint64) int {
 	block := c.BlockAddr(a)
 	base := c.setBase(a)
-	for i := base; i < base+c.ways; i++ {
-		if c.state[i] != stateInvalid && c.tags[i] == block {
-			return i
+	for i, l := range c.lines[base : base+c.ways] {
+		if l.state != stateInvalid && l.tag == block {
+			return base + i
 		}
 	}
 	return -1
@@ -166,19 +174,20 @@ func (c *Cache) find(a uint64) int {
 
 // touch marks line i most recently used within its set.
 func (c *Cache) touch(i int) {
-	old := c.age[i]
+	old := c.lines[i].age
 	if old == 0 {
 		// Already most recent — repeated hits to the same line (the
 		// common case on bursty reference streams) skip the aging loop.
 		return
 	}
-	base := (i / c.ways) * c.ways
-	for j := base; j < base+c.ways; j++ {
-		if c.age[j] < old {
-			c.age[j]++
+	base := i - int(c.lines[i].way)
+	set := c.lines[base : base+c.ways]
+	for j := range set {
+		if set[j].age < old {
+			set[j].age++
 		}
 	}
-	c.age[i] = 0
+	c.lines[i].age = 0
 }
 
 // victimWay returns the line index to replace in a's set: an invalid way if
@@ -186,12 +195,12 @@ func (c *Cache) touch(i int) {
 func (c *Cache) victimWay(a uint64) int {
 	base := c.setBase(a)
 	lru, lruAge := base, uint8(0)
-	for i := base; i < base+c.ways; i++ {
-		if c.state[i] == stateInvalid {
-			return i
+	for i, l := range c.lines[base : base+c.ways] {
+		if l.state == stateInvalid {
+			return base + i
 		}
-		if c.age[i] >= lruAge {
-			lru, lruAge = i, c.age[i]
+		if l.age >= lruAge {
+			lru, lruAge = base+i, l.age
 		}
 	}
 	return lru
@@ -200,25 +209,26 @@ func (c *Cache) victimWay(a uint64) int {
 // install places a's block into line i, returning victim information.
 func (c *Cache) install(a uint64, i int, dirty bool) Result {
 	r := Result{Allocated: true}
-	if c.state[i] != stateInvalid {
+	l := &c.lines[i]
+	if l.state != stateInvalid {
 		r.Evicted = true
-		r.Victim = c.tags[i]
-		r.VictimDirty = c.state[i] == stateDirty
+		r.Victim = l.tag
+		r.VictimDirty = l.state == stateDirty
 		if r.VictimDirty {
 			c.stats.Writebacks++
 		}
 	}
-	c.tags[i] = c.BlockAddr(a)
+	l.tag = c.BlockAddr(a)
 	if dirty {
-		c.state[i] = stateDirty
+		l.state = stateDirty
 	} else {
-		c.state[i] = stateClean
+		l.state = stateClean
 	}
 	// A freshly installed line enters as the oldest possible so that
 	// touch ranks every resident line below it; otherwise an install into
 	// an invalid way (age 0) would fail to age its set-mates and LRU
 	// would degenerate into position order.
-	c.age[i] = uint8(c.ways)
+	l.age = uint8(c.ways)
 	c.touch(i)
 	return r
 }
@@ -246,7 +256,7 @@ func (c *Cache) Write(a uint64) Result {
 		c.stats.WriteHits++
 		c.touch(i)
 		if c.writeBack {
-			c.state[i] = stateDirty
+			c.lines[i].state = stateDirty
 		}
 		return Result{Hit: true}
 	}
@@ -263,7 +273,7 @@ func (c *Cache) Contains(a uint64) bool { return c.find(a) >= 0 }
 // Dirty reports whether a's block is present and dirty.
 func (c *Cache) Dirty(a uint64) bool {
 	i := c.find(a)
-	return i >= 0 && c.state[i] == stateDirty
+	return i >= 0 && c.lines[i].state == stateDirty
 }
 
 // Invalidate removes a's block if present, returning whether it was present
@@ -275,8 +285,8 @@ func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
 		return false, false
 	}
 	c.stats.Invalidates++
-	dirty = c.state[i] == stateDirty
-	c.state[i] = stateInvalid
+	dirty = c.lines[i].state == stateDirty
+	c.lines[i].state = stateInvalid
 	return true, dirty
 }
 
@@ -300,11 +310,12 @@ func (c *Cache) InvalidateRange(a, bytes uint64) (dirtyBlocks []uint64) {
 // Flush invalidates every line, returning the dirty block addresses in
 // storage order (the writebacks a real flush would perform).
 func (c *Cache) Flush() (dirtyBlocks []uint64) {
-	for i := range c.state {
-		if c.state[i] == stateDirty {
-			dirtyBlocks = append(dirtyBlocks, c.tags[i])
+	for i := range c.lines {
+		l := &c.lines[i]
+		if l.state == stateDirty {
+			dirtyBlocks = append(dirtyBlocks, l.tag)
 		}
-		c.state[i] = stateInvalid
+		l.state = stateInvalid
 	}
 	return dirtyBlocks
 }
@@ -313,9 +324,9 @@ func (c *Cache) Flush() (dirtyBlocks []uint64) {
 // order. Used by inclusion checks and tests.
 func (c *Cache) ValidBlocks() []uint64 {
 	var out []uint64
-	for i, s := range c.state {
-		if s != stateInvalid {
-			out = append(out, c.tags[i])
+	for _, l := range c.lines {
+		if l.state != stateInvalid {
+			out = append(out, l.tag)
 		}
 	}
 	return out
@@ -324,8 +335,8 @@ func (c *Cache) ValidBlocks() []uint64 {
 // OccupiedLines returns how many lines are valid, for tests and reports.
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for _, s := range c.state {
-		if s != stateInvalid {
+	for _, l := range c.lines {
+		if l.state != stateInvalid {
 			n++
 		}
 	}

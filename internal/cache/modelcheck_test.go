@@ -83,6 +83,7 @@ func TestCacheAgreesWithReferenceModel(t *testing.T) {
 		{SizeBytes: 256, BlockBytes: 16, Assoc: 1, WriteBack: false},
 		{SizeBytes: 512, BlockBytes: 32, Assoc: 2, WriteBack: true},
 		{SizeBytes: 1024, BlockBytes: 32, Assoc: 4, WriteBack: true},
+		{SizeBytes: 384, BlockBytes: 32, Assoc: 3, WriteBack: true}, // ways not a power of two
 	} {
 		cfg := cfg
 		err := quick.Check(func(seed uint64) bool {
@@ -154,5 +155,47 @@ func TestCacheAgreesWithModelUnderInvalidation(t *testing.T) {
 	}, &quick.Config{MaxCount: 20})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLRUOrderThreeWay pins exact LRU replacement order in a cache whose
+// associativity is not a power of two, where the set base of a line cannot
+// be found by masking: every hit must reorder the set and every miss must
+// evict the least recently used line.
+func TestLRUOrderThreeWay(t *testing.T) {
+	cfg := config.CacheConfig{SizeBytes: 384, BlockBytes: 32, Assoc: 3, WriteBack: false}
+	c := New(cfg)
+	// Four sets of 32 B lines: block i lives in set 1 for every i.
+	blk := func(i uint64) uint64 { return 1*32 + i*4*32 }
+	for i := uint64(0); i < 3; i++ {
+		c.Read(blk(i)) // MRU order after: 2 1 0
+	}
+	c.Read(blk(0)) // 0 2 1
+	c.Read(blk(1)) // 1 0 2
+	for _, step := range []struct {
+		read   uint64
+		hit    bool
+		victim uint64
+	}{
+		{3, false, 2}, // 3 1 0
+		{4, false, 0}, // 4 3 1
+		{1, true, 0},  // 1 4 3
+		{5, false, 3}, // 5 1 4
+		{6, false, 4}, // 6 5 1
+	} {
+		r := c.Read(blk(step.read))
+		if step.hit {
+			if !r.Hit {
+				t.Fatalf("read of block %d missed", step.read)
+			}
+			continue
+		}
+		if r.Hit || !r.Evicted || r.Victim != blk(step.victim) {
+			t.Fatalf("read of block %d: %+v, want victim %#x", step.read, r, blk(step.victim))
+		}
+	}
+	// The other sets were never touched.
+	if c.OccupiedLines() != 3 {
+		t.Fatalf("%d lines valid, want 3", c.OccupiedLines())
 	}
 }

@@ -16,9 +16,7 @@ type undoLog struct {
 	epoch uint32
 
 	sets  []int32 // saved set indexes, in first-touch order
-	tags  []uint64
-	state []uint8
-	age   []uint8 // flat ways-sized runs, parallel to sets
+	lines []line  // flat ways-sized runs, parallel to sets
 	stats Stats
 }
 
@@ -37,9 +35,7 @@ func (c *Cache) ArmUndo() {
 		u.epoch = 1
 	}
 	u.sets = u.sets[:0]
-	u.tags = u.tags[:0]
-	u.state = u.state[:0]
-	u.age = u.age[:0]
+	u.lines = u.lines[:0]
 	u.stats = c.stats
 	c.undoArmed = true
 }
@@ -52,9 +48,7 @@ func (c *Cache) saveSet(set int) {
 	u.mark[set] = u.epoch
 	base := set * c.ways
 	u.sets = append(u.sets, int32(set))
-	u.tags = append(u.tags, c.tags[base:base+c.ways]...)
-	u.state = append(u.state, c.state[base:base+c.ways]...)
-	u.age = append(u.age, c.age[base:base+c.ways]...)
+	u.lines = append(u.lines, c.lines[base:base+c.ways]...)
 }
 
 // ReadU is Read for the burst path: with the journal armed it saves the
@@ -85,9 +79,7 @@ func (c *Cache) RollbackUndo() {
 	}
 	for k, set := range u.sets {
 		base, off := int(set)*c.ways, k*c.ways
-		copy(c.tags[base:base+c.ways], u.tags[off:off+c.ways])
-		copy(c.state[base:base+c.ways], u.state[off:off+c.ways])
-		copy(c.age[base:base+c.ways], u.age[off:off+c.ways])
+		copy(c.lines[base:base+c.ways], u.lines[off:off+c.ways])
 	}
 	c.stats = u.stats
 	c.undoArmed = false

@@ -19,7 +19,9 @@ import (
 	"vcoma/internal/dense"
 )
 
-// Entry is one directory entry: the global state of one memory block.
+// Entry is one directory entry: the global state of one memory block. It
+// is 16 bytes (a test pins the size): a paper-scale directory holds one per
+// preloaded block.
 type Entry struct {
 	// Copyset is the bitmask of nodes holding a copy, including the
 	// master. The protocol supports up to 64 nodes.

@@ -183,9 +183,15 @@ func (p *Protocol) bit(n addr.Node) uint64 { return 1 << uint(n) }
 // placement before the run (§5.1: data sets are preloaded, no paging
 // simulated). Evictions during preload go through the normal replacement
 // path, though a placement respecting global-set capacity never evicts.
+//
+// The block's set is scanned once: the scan that finds the block absent
+// also yields the free way to fill. Only a full set takes the general
+// install path.
 func (p *Protocol) Preload(block uint64, at addr.Node) {
 	b := p.align(block)
-	if p.ams[at].Probe(b) != mem.Invalid {
+	am := p.ams[at]
+	slot, present := am.Slot(b)
+	if present {
 		return
 	}
 	e := p.dir.Ensure(b)
@@ -195,7 +201,14 @@ func (p *Protocol) Preload(block uint64, at addr.Node) {
 	e.Master = at
 	e.Copyset = p.bit(at)
 	e.Swapped = false
-	p.installAt(0, at, b, mem.MasterShared, SrcPreload, at)
+	if slot < 0 {
+		p.installAt(0, at, b, mem.MasterShared, SrcPreload, at)
+		return
+	}
+	am.Fill(slot, b, mem.MasterShared)
+	if p.sink != nil {
+		p.sink.CopyInstalled(at, b, mem.MasterShared, SrcPreload, at)
+	}
 }
 
 // StateAt returns node n's attraction-memory state for block, without side

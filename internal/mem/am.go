@@ -69,27 +69,51 @@ type Victim struct {
 	State State
 }
 
+// Slot word layout. Each way is one 64-bit word and a set's ways are
+// adjacent, so a 4-way set is 32 bytes: one host cache line per lookup.
+//
+//	bits [0, 2)   COMA-F state
+//	bits [2, 13)  LRU age within the set: 0 = most recent, ways = fresh
+//	bits [13, 64) tag: the block address above the offset and set-index bits
+//
+// A block whose tag does not fit the 51 tag bits cannot be stored; Install
+// and Fill panic on it rather than alias it onto another block.
+const (
+	stateMask = 1<<2 - 1
+	ageShift  = 2
+	ageBits   = 11 // ages run 0..ways, and Geometry caps ways at 2^10
+	ageOne    = 1 << ageShift
+	ageMask   = (1<<ageBits - 1) << ageShift
+	tagShift  = ageShift + ageBits
+	tagBits   = 64 - tagShift
+)
+
 // AM is one node's attraction memory.
 type AM struct {
-	g    addr.Geometry
-	ways int
+	g         addr.Geometry
+	ways      int
+	assocBits uint
+	setMask   uint64
+	// indexBits is b+s: a block address shifted right by it is its tag.
+	indexBits uint
 
-	tags  []uint64
-	state []State
-	age   []uint32
+	slots []uint64 // set-major: index = set<<assocBits + way
 
 	stats Stats
 }
 
 // New returns an empty attraction memory for geometry g.
 func New(g addr.Geometry) *AM {
-	n := g.AMBlocksPerNode()
+	if g.AMAssocBits >= ageBits {
+		panic(fmt.Sprintf("mem: associativity 2^%d exceeds the slot's LRU age range", g.AMAssocBits))
+	}
 	return &AM{
-		g:     g,
-		ways:  g.AMAssoc(),
-		tags:  make([]uint64, n),
-		state: make([]State, n),
-		age:   make([]uint32, n),
+		g:         g,
+		ways:      g.AMAssoc(),
+		assocBits: g.AMAssocBits,
+		setMask:   uint64(g.AMSets() - 1),
+		indexBits: g.AMBlockBits + g.AMSetBits,
+		slots:     make([]uint64, g.AMBlocksPerNode()),
 	}
 }
 
@@ -99,33 +123,60 @@ func (m *AM) Stats() Stats { return m.stats }
 // BlockAddr aligns a to an AM block boundary.
 func (m *AM) BlockAddr(a uint64) uint64 { return a &^ (m.g.AMBlockSize() - 1) }
 
-func (m *AM) setBase(block uint64) int { return m.g.AMSet(block) * m.ways }
+func (m *AM) setBase(block uint64) int {
+	return int((block>>m.g.AMBlockBits)&m.setMask) << m.assocBits
+}
+
+// set returns the ways of block's set.
+func (m *AM) set(block uint64) []uint64 {
+	base := m.setBase(block)
+	return m.slots[base : base+m.ways]
+}
+
+// blockOf rebuilds the block address held by slot i.
+func (m *AM) blockOf(i int) uint64 {
+	return m.slots[i]>>tagShift<<m.indexBits | uint64(i>>m.assocBits)<<m.g.AMBlockBits
+}
+
+// packTag returns block's tag positioned in a slot word, panicking if it
+// does not fit.
+func (m *AM) packTag(block uint64) uint64 {
+	tag := block >> m.indexBits
+	if tag>>tagBits != 0 {
+		panic(fmt.Sprintf("mem: block %#x has a tag wider than the slot's %d tag bits", block, tagBits))
+	}
+	return tag << tagShift
+}
+
+func stateOf(w uint64) State { return State(w & stateMask) }
 
 func (m *AM) find(block uint64) int {
-	b := m.BlockAddr(block)
-	base := m.setBase(b)
-	for i := base; i < base+m.ways; i++ {
-		if m.state[i] != Invalid && m.tags[i] == b {
-			return i
+	base := m.setBase(block)
+	tag := block >> m.indexBits
+	for i, w := range m.slots[base : base+m.ways] {
+		if w&stateMask != 0 && w>>tagShift == tag {
+			return base + i
 		}
 	}
 	return -1
 }
 
 func (m *AM) touch(i int) {
-	old := m.age[i]
+	w := m.slots[i]
+	old := w & ageMask
 	if old == 0 {
 		// Already most recent — repeated hits to the same block skip the
 		// aging loop (the dominant pattern on bursty reference streams).
 		return
 	}
-	base := (i / m.ways) * m.ways
-	for j := base; j < base+m.ways; j++ {
-		if m.age[j] < old {
-			m.age[j]++
+	base := i &^ (m.ways - 1)
+	set := m.slots[base : base+m.ways]
+	for j, v := range set {
+		if v&ageMask < old {
+			set[j] = v + ageOne
 		}
 	}
-	m.age[i] = 0
+	m.slots[i] = w &^ ageMask
 }
 
 // Lookup returns the state of the block, or Invalid if absent, counting a
@@ -134,7 +185,7 @@ func (m *AM) Lookup(block uint64) State {
 	if i := m.find(block); i >= 0 {
 		m.stats.Hits++
 		m.touch(i)
-		return m.state[i]
+		return stateOf(m.slots[i])
 	}
 	m.stats.Misses++
 	return Invalid
@@ -144,7 +195,7 @@ func (m *AM) Lookup(block uint64) State {
 // side effects.
 func (m *AM) Probe(block uint64) State {
 	if i := m.find(block); i >= 0 {
-		return m.state[i]
+		return stateOf(m.slots[i])
 	}
 	return Invalid
 }
@@ -159,7 +210,7 @@ func (m *AM) SetState(block uint64, s State) {
 	if s == Invalid {
 		panic("mem: use Invalidate to remove a block")
 	}
-	m.state[i] = s
+	m.slots[i] = m.slots[i]&^stateMask | uint64(s)
 }
 
 // Invalidate removes the block if present, returning its prior state
@@ -170,17 +221,16 @@ func (m *AM) Invalidate(block uint64) State {
 		return Invalid
 	}
 	m.stats.Invalidates++
-	s := m.state[i]
-	m.state[i] = Invalid
+	s := stateOf(m.slots[i])
+	m.slots[i] &^= stateMask
 	return s
 }
 
 // HasFreeWay reports whether block's set has an Invalid slot — the home
 // node's injection-acceptance condition (§4.2).
 func (m *AM) HasFreeWay(block uint64) bool {
-	base := m.setBase(m.BlockAddr(block))
-	for i := base; i < base+m.ways; i++ {
-		if m.state[i] == Invalid {
+	for _, w := range m.set(block) {
+		if w&stateMask == uint64(Invalid) {
 			return true
 		}
 	}
@@ -191,11 +241,10 @@ func (m *AM) HasFreeWay(block uint64) bool {
 // — the forwarded-injection acceptance condition (§4.2). The returned state
 // tells which kind was found (Invalid preferred).
 func (m *AM) HasDroppableWay(block uint64) (ok bool, kind State) {
-	base := m.setBase(m.BlockAddr(block))
 	kind = Invalid
 	found := false
-	for i := base; i < base+m.ways; i++ {
-		switch m.state[i] {
+	for _, w := range m.set(block) {
+		switch stateOf(w) {
 		case Invalid:
 			return true, Invalid
 		case Shared:
@@ -205,82 +254,113 @@ func (m *AM) HasDroppableWay(block uint64) (ok bool, kind State) {
 	return found, kind
 }
 
+// Slot scans block's set once. If the block is resident it returns its
+// slot and present=true; otherwise it returns the set's first Invalid slot,
+// the one Install would fill, or -1 when the set is full. Together with
+// Fill it lets a caller test for residence and install in one set scan.
+func (m *AM) Slot(block uint64) (slot int, present bool) {
+	base := m.setBase(block)
+	tag := block >> m.indexBits
+	free := -1
+	for i, w := range m.slots[base : base+m.ways] {
+		if w&stateMask == 0 {
+			if free < 0 {
+				free = base + i
+			}
+		} else if w>>tagShift == tag {
+			return base + i, true
+		}
+	}
+	return free, false
+}
+
+// Fill installs an absent block into the Invalid slot Slot returned for it,
+// exactly as Install would with a free way: counted as an install, entered
+// most recently used. It panics if the slot is occupied.
+func (m *AM) Fill(slot int, block uint64, s State) {
+	if m.slots[slot]&stateMask != 0 {
+		panic(fmt.Sprintf("mem: Fill(%#x) into an occupied slot", block))
+	}
+	m.stats.Installs++
+	m.place(slot, block, s)
+}
+
+// place writes block into slot i with state s and makes it most recently
+// used. It enters as the oldest so touch ages the whole set (see the same
+// pattern in package cache): without this, installs into Invalid ways
+// would not advance their set-mates' ages.
+func (m *AM) place(i int, block uint64, s State) {
+	m.slots[i] = m.packTag(block) | uint64(m.ways)<<ageShift | uint64(s)
+	m.touch(i)
+}
+
 // Install places block with the given state, choosing a victim way:
 // an Invalid way if available, else the least-recently-used Shared way,
 // else the least-recently-used way overall. The displaced block, if any, is
 // returned for the protocol layer to drop or inject. Installing a block
 // already present just updates its state.
 func (m *AM) Install(block uint64, s State) (Victim, bool) {
-	b := m.BlockAddr(block)
-	if i := m.find(b); i >= 0 {
-		m.state[i] = s
-		m.touch(i)
-		return Victim{}, false
+	base := m.setBase(block)
+	tag := block >> m.indexBits
+	// One pass finds the block itself, the first Invalid way, the LRU
+	// Shared way and the LRU way overall (ties to the later way).
+	free, lruShared, lru := -1, -1, -1
+	var sharedAge, lruAge uint64
+	for j, w := range m.slots[base : base+m.ways] {
+		i := base + j
+		st := stateOf(w)
+		if st == Invalid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if w>>tagShift == tag {
+			m.slots[i] = w&^stateMask | uint64(s)
+			m.touch(i)
+			return Victim{}, false
+		}
+		age := w & ageMask
+		if st == Shared && (lruShared < 0 || age >= sharedAge) {
+			lruShared, sharedAge = i, age
+		}
+		if lru < 0 || age >= lruAge {
+			lru, lruAge = i, age
+		}
 	}
 	m.stats.Installs++
-	base := m.setBase(b)
-	way := -1
-	// Pass 1: an Invalid slot.
-	for i := base; i < base+m.ways; i++ {
-		if m.state[i] == Invalid {
-			way = i
-			break
-		}
+	if free >= 0 {
+		m.place(free, block, s)
+		return Victim{}, false
 	}
-	// Pass 2: the LRU Shared slot (cheap to drop).
-	if way < 0 {
-		var bestAge uint32
-		for i := base; i < base+m.ways; i++ {
-			if m.state[i] == Shared && (way < 0 || m.age[i] >= bestAge) {
-				way, bestAge = i, m.age[i]
-			}
-		}
+	way := lru
+	if lruShared >= 0 {
+		way = lruShared
 	}
-	// Pass 3: the LRU slot overall (master eviction -> injection).
-	if way < 0 {
-		var bestAge uint32
-		for i := base; i < base+m.ways; i++ {
-			if way < 0 || m.age[i] >= bestAge {
-				way, bestAge = i, m.age[i]
-			}
-		}
+	v := Victim{Block: m.blockOf(way), State: stateOf(m.slots[way])}
+	m.stats.Evictions++
+	if v.State.IsMaster() {
+		m.stats.MasterEvict++
 	}
-	var v Victim
-	evicted := false
-	if m.state[way] != Invalid {
-		v = Victim{Block: m.tags[way], State: m.state[way]}
-		evicted = true
-		m.stats.Evictions++
-		if v.State.IsMaster() {
-			m.stats.MasterEvict++
-		}
-	}
-	m.tags[way] = b
-	m.state[way] = s
-	// Enter as the oldest so touch ages the whole set (see the same
-	// pattern in package cache): without this, installs into Invalid ways
-	// would not advance their set-mates' ages.
-	m.age[way] = uint32(m.ways)
-	m.touch(way)
-	return v, evicted
+	m.place(way, block, s)
+	return v, true
 }
 
 // ForEachValid calls f for every valid block with its state, in storage
 // order. f must not mutate the AM. Used by machine-wide invariant scans.
 func (m *AM) ForEachValid(f func(block uint64, s State)) {
-	for i, st := range m.state {
-		if st != Invalid {
-			f(m.tags[i], st)
+	for i, w := range m.slots {
+		if st := stateOf(w); st != Invalid {
+			f(m.blockOf(i), st)
 		}
 	}
 }
 
 // OccupiedWays returns how many slots of block's set are valid.
 func (m *AM) OccupiedWays(block uint64) int {
-	base := m.setBase(m.BlockAddr(block))
 	n := 0
-	for i := base; i < base+m.ways; i++ {
-		if m.state[i] != Invalid {
+	for _, w := range m.set(block) {
+		if stateOf(w) != Invalid {
 			n++
 		}
 	}
@@ -289,20 +369,14 @@ func (m *AM) OccupiedWays(block uint64) int {
 
 // Occupancy returns the fraction of all slots holding valid blocks.
 func (m *AM) Occupancy() float64 {
-	n := 0
-	for _, s := range m.state {
-		if s != Invalid {
-			n++
-		}
-	}
-	return float64(n) / float64(len(m.state))
+	return float64(len(m.slots)-m.CountState(Invalid)) / float64(len(m.slots))
 }
 
 // CountState returns how many blocks are in state s.
 func (m *AM) CountState(s State) int {
 	n := 0
-	for _, st := range m.state {
-		if st == s {
+	for _, w := range m.slots {
+		if stateOf(w) == s {
 			n++
 		}
 	}

@@ -83,6 +83,7 @@ type Server struct {
 	fs      *fsio.FS
 	health  *health
 	mem     *memResults
+	traces  *traceIndex
 
 	jmu sync.Mutex // serializes journal writes
 
@@ -162,6 +163,7 @@ func New(opts Options) (*Server, error) {
 		mem:      newMemResults(0),
 		draining: make(chan struct{}),
 	}
+	s.traces = newTraceIndex(s.traceDir(), traceRetention)
 	s.metrics = newServerMetrics(s)
 	s.queue.OnShed = func(j *Job) {
 		s.metrics.shed.Add(1)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,8 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"sort"
+	"strings"
+	"sync"
 
 	"vcoma/internal/obs"
 	"vcoma/internal/runner"
@@ -24,9 +27,9 @@ import (
 // the files make traces outlive done-retention and restarts.
 
 // traceRetention bounds how many trace file pairs StateDir/traces keeps;
-// older pairs are pruned oldest-first. Matches the queue's done-retention
-// scale rather than the (much larger) artifact store bound, because traces
-// describe requests, not results.
+// older pairs are pruned oldest-first through a traceIndex. Matches the
+// queue's done-retention scale rather than the (much larger) artifact store
+// bound, because traces describe requests, not results.
 const traceRetention = doneRetention
 
 func (s *Server) traceDir() string {
@@ -34,11 +37,11 @@ func (s *Server) traceDir() string {
 }
 
 func (s *Server) spanPath(key runner.Key) string {
-	return filepath.Join(s.traceDir(), string(key)+".spans.json")
+	return filepath.Join(s.traceDir(), string(key)+spanSuffix)
 }
 
 func (s *Server) chromePath(key runner.Key) string {
-	return filepath.Join(s.traceDir(), string(key)+".trace.json")
+	return filepath.Join(s.traceDir(), string(key)+chromeSuffix)
 }
 
 // writeTrace persists a retired job's trace files, atomically: each sidecar
@@ -78,45 +81,88 @@ func (s *Server) writeTrace(j *Job) {
 	if err != nil {
 		s.log.Warn("trace write", "trace_id", string(tr.ID()), "job_key", string(j.Key), "error", err.Error())
 	}
-	s.pruneTraces()
+	s.traces.add(string(j.Key))
 }
 
-// pruneTraces drops the oldest trace files once the directory exceeds
-// retention. Best-effort: a failed scan just means pruning waits for the
-// next retirement.
-func (s *Server) pruneTraces() {
-	ents, err := os.ReadDir(s.traceDir())
+// traceIndex lists a trace directory's persisted pairs oldest-first, so
+// retiring a job prunes the oldest pairs without rescanning the directory.
+// One scan, ordered by the span dumps' modification times, seeds it on first
+// use (the pairs a previous process left); after that it follows the
+// server's own writes. Safe for concurrent use.
+type traceIndex struct {
+	dir  string
+	keep int
+
+	mu     sync.Mutex
+	seeded bool
+	order  list.List // of string keys, oldest at the front
+	at     map[string]*list.Element
+}
+
+const (
+	spanSuffix   = ".spans.json"
+	chromeSuffix = ".trace.json"
+)
+
+func newTraceIndex(dir string, keep int) *traceIndex {
+	return &traceIndex{dir: dir, keep: keep, at: map[string]*list.Element{}}
+}
+
+// seed indexes the span dumps already in the directory, oldest first. A
+// failed scan leaves the index empty: pruning then covers only the pairs
+// this process writes.
+func (ix *traceIndex) seed() {
+	ix.seeded = true
+	ents, err := os.ReadDir(ix.dir)
 	if err != nil {
 		return
 	}
-	// Two files per job; prune by span-dump count so pairs leave together.
 	type aged struct {
 		key   string
 		mtime int64
 	}
 	var dumps []aged
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || filepath.Ext(name) != ".json" {
-			continue
-		}
-		const suffix = ".spans.json"
-		if len(name) <= len(suffix) || name[len(name)-len(suffix):] != suffix {
+		key, ok := strings.CutSuffix(e.Name(), spanSuffix)
+		if e.IsDir() || !ok || key == "" {
 			continue
 		}
 		info, err := e.Info()
 		if err != nil {
 			continue
 		}
-		dumps = append(dumps, aged{key: name[:len(name)-len(suffix)], mtime: info.ModTime().UnixNano()})
+		dumps = append(dumps, aged{key: key, mtime: info.ModTime().UnixNano()})
 	}
-	if len(dumps) <= traceRetention {
-		return
+	sort.Slice(dumps, func(i, j int) bool {
+		if dumps[i].mtime != dumps[j].mtime {
+			return dumps[i].mtime < dumps[j].mtime
+		}
+		return dumps[i].key < dumps[j].key
+	})
+	for _, d := range dumps {
+		ix.at[d.key] = ix.order.PushBack(d.key)
 	}
-	sort.Slice(dumps, func(i, j int) bool { return dumps[i].mtime < dumps[j].mtime })
-	for _, d := range dumps[:len(dumps)-traceRetention] {
-		os.Remove(filepath.Join(s.traceDir(), d.key+".spans.json"))
-		os.Remove(filepath.Join(s.traceDir(), d.key+".trace.json"))
+}
+
+// add records that key's pair was just (re)written, making it the newest,
+// and deletes the oldest pairs beyond retention — both files of a pair
+// together. Best-effort: a failed delete is not retried.
+func (ix *traceIndex) add(key string) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if !ix.seeded {
+		ix.seed()
+	}
+	if e, ok := ix.at[key]; ok {
+		ix.order.MoveToBack(e)
+	} else {
+		ix.at[key] = ix.order.PushBack(key)
+	}
+	for ix.order.Len() > ix.keep {
+		old := ix.order.Remove(ix.order.Front()).(string)
+		delete(ix.at, old)
+		os.Remove(filepath.Join(ix.dir, old+spanSuffix))
+		os.Remove(filepath.Join(ix.dir, old+chromeSuffix))
 	}
 }
 

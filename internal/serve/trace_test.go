@@ -3,13 +3,17 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"vcoma/internal/cli"
 	"vcoma/internal/obs"
@@ -104,8 +108,14 @@ func TestServiceTraceEndToEnd(t *testing.T) {
 	}
 
 	// A Perfetto-loadable trace file is persisted next to the spans and
-	// carries the id.
-	chrome, err := os.ReadFile(filepath.Join(dir, "traces", resp.Key+".trace.json"))
+	// carries the id. The worker writes it just after it marks the job
+	// done, so wait for it rather than race the write.
+	chromePath := filepath.Join(dir, "traces", resp.Key+".trace.json")
+	waitFor(t, "persisted Perfetto trace", func() bool {
+		_, err := os.Stat(chromePath)
+		return err == nil
+	})
+	chrome, err := os.ReadFile(chromePath)
 	if err != nil {
 		t.Fatalf("persisted Perfetto trace: %v", err)
 	}
@@ -176,5 +186,118 @@ func TestServiceProfileCapture(t *testing.T) {
 	code, _, _ = post(t, ts.URL+"/v1/jobs?profile=heap", Request{Bench: "RADIX", Scheme: "l1", Scale: "test"})
 	if code != http.StatusBadRequest {
 		t.Fatalf("profile=heap: %d, want 400", code)
+	}
+}
+
+// writePair writes key's span dump and Perfetto file with modification time
+// sec (seconds after an arbitrary epoch), as writeTrace would.
+func writePair(t *testing.T, dir, key string, sec int64) {
+	t.Helper()
+	mtime := time.Unix(1_700_000_000+sec, 0)
+	for _, suffix := range []string{spanSuffix, chromeSuffix} {
+		p := filepath.Join(dir, key+suffix)
+		if err := os.WriteFile(p, []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chtimes(p, mtime, mtime); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// tracePairs returns the keys whose span dump is on disk, failing if any
+// pair is split (one file present without the other).
+func tracePairs(t *testing.T, dir string) []string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]bool{}
+	for _, e := range ents {
+		files[e.Name()] = true
+	}
+	var keys []string
+	for name := range files {
+		if key, ok := strings.CutSuffix(name, spanSuffix); ok {
+			if !files[key+chromeSuffix] {
+				t.Fatalf("pair %s split: span dump without its Perfetto file", key)
+			}
+			keys = append(keys, key)
+		} else if key, ok := strings.CutSuffix(name, chromeSuffix); ok && !files[key+spanSuffix] {
+			t.Fatalf("pair %s split: Perfetto file without its span dump", key)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestTraceIndexRetention checks the oldest-first trace index: retention
+// holds across a restart (a fresh index seeds from the directory by age),
+// a rewritten key becomes the newest, and a pruned pair's two files leave
+// together.
+func TestTraceIndexRetention(t *testing.T) {
+	dir := t.TempDir()
+	// A previous process left five pairs, written in the order k1..k5
+	// though their names sort otherwise.
+	for i, key := range []string{"k3", "k1", "k5", "k2", "k4"} {
+		writePair(t, dir, key, int64(i))
+	}
+	ix := newTraceIndex(dir, 4)
+	// The restarted process writes a new pair: the index seeds itself
+	// and prunes the two oldest pairs to get back to four.
+	writePair(t, dir, "k6", 10)
+	ix.add("k6")
+	if got, want := tracePairs(t, dir), []string{"k2", "k4", "k5", "k6"}; !slices.Equal(got, want) {
+		t.Fatalf("after restart: pairs %v, want %v", got, want)
+	}
+	// k5 is now the oldest. Rewriting it makes it the newest, so the next
+	// prune takes k2 instead.
+	writePair(t, dir, "k5", 11)
+	ix.add("k5")
+	writePair(t, dir, "k7", 12)
+	ix.add("k7")
+	if got, want := tracePairs(t, dir), []string{"k4", "k5", "k6", "k7"}; !slices.Equal(got, want) {
+		t.Fatalf("after rewrite: pairs %v, want %v", got, want)
+	}
+	// A second restart sees the rewritten key's fresh mtime.
+	ix = newTraceIndex(dir, 4)
+	writePair(t, dir, "k8", 13)
+	ix.add("k8")
+	if got, want := tracePairs(t, dir), []string{"k5", "k6", "k7", "k8"}; !slices.Equal(got, want) {
+		t.Fatalf("after second restart: pairs %v, want %v", got, want)
+	}
+}
+
+// TestTraceIndexConcurrentRetire retires jobs from several goroutines at
+// once, as concurrent workers do, and checks that retention still holds and
+// no pair is split.
+func TestTraceIndexConcurrentRetire(t *testing.T) {
+	dir := t.TempDir()
+	ix := newTraceIndex(dir, 5)
+	// Seed the index first: its one directory scan must not catch a pair
+	// half written.
+	writePair(t, dir, "first", 0)
+	ix.add("first")
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				key := fmt.Sprintf("w%d-%02d", w, i)
+				for _, suffix := range []string{spanSuffix, chromeSuffix} {
+					if err := os.WriteFile(filepath.Join(dir, key+suffix), []byte("{}\n"), 0o644); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				ix.add(key)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if got := tracePairs(t, dir); len(got) != 5 {
+		t.Fatalf("%d pairs kept (%v), want 5", len(got), got)
 	}
 }

@@ -1,26 +1,63 @@
 package trace
 
-import "vcoma/internal/addr"
+import (
+	"sync/atomic"
+
+	"vcoma/internal/addr"
+)
 
 // generatorBatch is the number of events buffered per channel send. Large
 // enough that channel synchronization is negligible per event, small enough
 // that short per-processor streams (a few thousand events at test scale)
-// don't pay for zeroing mostly-unused 128KB batches on every machine build.
+// don't hold mostly-unused batches.
 const generatorBatch = 1024
+
+type eventBatch [generatorBatch]Event
+
+// batchPool recycles event batches across every Generator in the process:
+// a batch its consumer has finished goes back to the pool and the next
+// flush of any stream refills it, so a machine build reuses the batches of
+// the streams before it instead of allocating fresh ones per stream. It
+// holds up to 128 spare batches (4 MB), enough for every stream of a
+// paper-scale machine (32 streams, three batches each); a batch returned to
+// a full pool is left to the garbage collector. A buffered channel rather
+// than a sync.Pool: producer and consumer run on different Ps, and
+// sync.Pool's cross-P steal made generation ~25% slower.
+var batchPool = make(chan *eventBatch, 128)
+
+// batchesOut counts batches taken from batchPool and not yet returned, so
+// tests can check that streams give back every batch.
+var batchesOut atomic.Int64
+
+func getBatch() []Event {
+	batchesOut.Add(1)
+	select {
+	case b := <-batchPool:
+		return b[:0]
+	default:
+		return new(eventBatch)[:0]
+	}
+}
+
+func putBatch(b []Event) {
+	batchesOut.Add(-1)
+	select {
+	case batchPool <- (*eventBatch)(b[:generatorBatch]):
+	default:
+	}
+}
 
 // Generator adapts a straight-line program function into a pull-based
 // Stream. The program runs in its own goroutine and emits events through an
 // Emitter; the consumer pulls them with Next. Abandoning a Generator without
 // draining it requires Close, which unwinds the producer goroutine.
+//
+// A stream has at most three batches in flight: the one the producer is
+// filling, one queued in the channel, and the one the consumer is reading.
+// The consumer returns each batch to the shared pool when it moves past it.
 type Generator struct {
-	ch   chan []Event
-	done chan struct{}
-	// free carries spent batches back to the producer for reuse: the
-	// consumer finishes a batch, hands the backing array over, and the
-	// producer refills it instead of allocating. Steady-state generation
-	// therefore keeps a constant number of live batches regardless of
-	// stream length.
-	free   chan []Event
+	ch     chan []Event
+	done   chan struct{}
 	batch  []Event
 	pos    int
 	closed bool
@@ -40,40 +77,42 @@ type stopGenerator struct{}
 // provided Emitter and then return.
 func NewGenerator(program func(*Emitter)) *Generator {
 	g := &Generator{
-		ch:   make(chan []Event, 4),
-		free: make(chan []Event, 4),
+		ch:   make(chan []Event, 1),
 		done: make(chan struct{}),
 	}
 	go func() {
 		defer close(g.ch)
+		e := &Emitter{gen: g, batch: getBatch()}
 		defer func() {
 			if r := recover(); r != nil {
+				// The batch being filled or sent never reached the
+				// consumer: it goes back to the pool.
+				putBatch(e.batch)
 				if _, ok := r.(stopGenerator); !ok {
 					g.failure = r // real panic: hand to the consumer
 				}
 			}
 		}()
-		e := &Emitter{gen: g, batch: make([]Event, 0, generatorBatch)}
 		program(e)
 		e.finish()
 	}()
 	return g
 }
 
+// release hands the consumed batch back to the pool.
+func (g *Generator) release() {
+	if g.batch != nil {
+		putBatch(g.batch)
+		g.batch, g.pos = nil, 0
+	}
+}
+
 // Next implements Stream. If the program function panicked, Next re-raises
 // that panic once the buffered events are drained.
 func (g *Generator) Next() (Event, bool) {
 	for g.pos >= len(g.batch) {
-		if g.batch != nil {
-			// The batch is fully consumed (events are returned by value):
-			// recycle its backing array to the producer. Drop it if the
-			// free list is full.
-			select {
-			case g.free <- g.batch[:0]:
-			default:
-			}
-			g.batch = nil
-		}
+		// The batch is fully consumed (events are returned by value).
+		g.release()
 		batch, ok := <-g.ch
 		if !ok {
 			if g.failure != nil {
@@ -81,7 +120,7 @@ func (g *Generator) Next() (Event, bool) {
 			}
 			return Event{}, false
 		}
-		g.batch, g.pos = batch, 0
+		g.batch = batch
 	}
 	e := g.batch[g.pos]
 	g.pos++
@@ -89,23 +128,17 @@ func (g *Generator) Next() (Event, bool) {
 }
 
 // NextBatch implements BatchStream: it returns the unread remainder of the
-// current batch, or pulls the next one — one channel operation per ~4096
+// current batch, or pulls the next one — one channel operation per ~1024
 // events instead of per-event interface calls. The returned slice is valid
-// only until the next NextBatch or Next call (its backing array is then
-// recycled to the producer). Re-raises a producer panic like Next.
+// only until the next NextBatch, Next or Close call (its backing array then
+// returns to the pool). Re-raises a producer panic like Next.
 func (g *Generator) NextBatch() ([]Event, bool) {
 	if g.pos < len(g.batch) {
 		b := g.batch[g.pos:]
 		g.pos = len(g.batch)
 		return b, true
 	}
-	if g.batch != nil {
-		select {
-		case g.free <- g.batch[:0]:
-		default:
-		}
-		g.batch, g.pos = nil, 0
-	}
+	g.release()
 	batch, ok := <-g.ch
 	if !ok {
 		if g.failure != nil {
@@ -117,17 +150,20 @@ func (g *Generator) NextBatch() ([]Event, bool) {
 	return batch, true
 }
 
-// Close unwinds the producer goroutine. Safe to call multiple times and
-// after the stream is drained.
+// Close unwinds the producer goroutine and returns the stream's batches to
+// the pool. Safe to call multiple times and after the stream is drained.
 func (g *Generator) Close() {
 	if g.closed {
 		return
 	}
 	g.closed = true
 	close(g.done)
+	g.release()
 	// Drain any in-flight batches so the producer's pending send completes
-	// and it observes done on its next flush.
-	for range g.ch {
+	// and it observes done on its next flush; the channel closes once the
+	// producer has exited.
+	for b := range g.ch {
+		putBatch(b)
 	}
 }
 
@@ -141,36 +177,27 @@ type Emitter struct {
 func (e *Emitter) emit(ev Event) {
 	e.batch = append(e.batch, ev)
 	if len(e.batch) >= generatorBatch {
-		e.flush()
+		e.send()
+		e.batch = getBatch()
 	}
-}
-
-func (e *Emitter) flush() {
-	if len(e.batch) == 0 {
-		return
-	}
-	batch := e.batch
-	select {
-	case e.batch = <-e.gen.free:
-	default:
-		e.batch = make([]Event, 0, generatorBatch)
-	}
-	e.send(batch)
 }
 
 // finish hands off the last partial batch when the program returns; unlike
-// flush it does not take a replacement batch nobody will fill.
+// a full batch's send it does not take a replacement nobody will fill.
 func (e *Emitter) finish() {
 	if len(e.batch) == 0 {
-		return
+		putBatch(e.batch)
+	} else {
+		e.send()
 	}
-	e.send(e.batch)
 	e.batch = nil
 }
 
-func (e *Emitter) send(batch []Event) {
+// send queues the current batch for the consumer, or unwinds the producer
+// if the consumer has closed the stream.
+func (e *Emitter) send() {
 	select {
-	case e.gen.ch <- batch:
+	case e.gen.ch <- e.batch:
 	case <-e.gen.done:
 		panic(stopGenerator{})
 	}
