@@ -17,13 +17,13 @@ race:
 	$(GO) test -race ./...
 
 # Short native-fuzz runs of the correctness oracles; new interesting inputs
-# stay in the Go build cache, crashers land in internal/check/testdata/fuzz/
-# and internal/tlb/testdata/fuzz/ ready to commit as regressions.
+# stay in the Go build cache, crashers land in the fuzzed package's
+# testdata/fuzz/ ready to commit as regressions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchemesAgree -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzBufferParity -fuzztime 10s ./internal/tlb/
-	$(GO) test -run '^$$' -fuzz FuzzParallelParity -fuzztime 30s ./internal/check/fuzzgen/
+	$(GO) test -run '^$$' -fuzz FuzzRequestResolve -fuzztime 30s ./internal/serve/
 
 # Longer oracle soak over seeded random workloads; failing seeds are written
 # to fuzz-artifacts/ in Go fuzz-corpus format.

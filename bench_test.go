@@ -8,6 +8,7 @@
 package vcoma
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -152,7 +153,7 @@ func BenchmarkTimedRun(b *testing.B) {
 		b.Run(fmt.Sprint(sch), func(b *testing.B) {
 			bench := mustBench(b, "OCEAN")
 			for i := 0; i < b.N; i++ {
-				res, err := Run(benchConfig().WithScheme(sch), bench)
+				res, err := Run(context.Background(), benchConfig().WithScheme(sch), bench, RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -163,11 +164,9 @@ func BenchmarkTimedRun(b *testing.B) {
 }
 
 // BenchmarkObsOverhead measures what the observability layer costs an
-// end-to-end RADIX run at test scale. "plain" is the uninstrumented Run;
-// "disabled" routes through RunInstrumented with a nil observer, so every
-// instrument call site executes its nil-receiver no-op — the two must be
-// within noise of each other (the <2% overhead contract). "enabled" turns on
-// the sampler and tracer to show the full price of observation. The
+// end-to-end RADIX run at test scale. "plain" is Run with no observer, so
+// every instrument call site executes its nil-receiver no-op. "enabled"
+// turns on the sampler and tracer to show the full price of observation. The
 // "noop-calls" sub-benchmark isolates the per-call no-op cost itself, which
 // must report 0 allocs/op (the same contract TestObsDisabledZeroAlloc gates
 // in CI).
@@ -176,16 +175,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	bench := mustBench(b, "RADIX")
 	b.Run("plain", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := Run(cfg, bench)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(res.Sim.Events), "events/run")
-		}
-	})
-	b.Run("disabled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := RunInstrumented(cfg, bench, nil)
+			res, err := Run(context.Background(), cfg, bench, RunOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -195,7 +185,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("enabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := NewObserver(ObserverOptions{MetricsInterval: 10000, TraceCapacity: 1 << 16})
-			res, err := RunInstrumented(cfg, bench, o)
+			res, err := Run(context.Background(), cfg, bench, RunOptions{Observer: o})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -44,8 +44,6 @@ func main() {
 		traceOut        = flag.String("trace-out", "", "write Chrome trace-event JSON (open in Perfetto) to this file")
 		traceCats       = flag.String("trace-categories", "", "comma-separated trace categories to keep: trans,dlb,coh,repl,sync (empty = all)")
 		pprofAddr       = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-
-		par = flag.Int("par", 1, "shard the simulated processors across N goroutines (results are byte-identical to -par 1)")
 	)
 	budgetOf := cli.BudgetFlags()
 	fsFaultOf := cli.FsFaultFlags()
@@ -103,7 +101,7 @@ func main() {
 	runCtx = ctx
 
 	start := time.Now()
-	res, err := vcoma.RunWithOptions(ctx, cfg, bench, vcoma.RunOptions{Observer: o, Budget: budgetOf(), Shards: *par})
+	res, err := vcoma.Run(ctx, cfg, bench, vcoma.RunOptions{Observer: o, Budget: budgetOf()})
 	if err != nil {
 		var we *vcoma.WatchdogError
 		if errors.As(err, &we) {

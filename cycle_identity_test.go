@@ -17,6 +17,7 @@
 package vcoma
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -70,37 +71,25 @@ func compareCycleGolden(t *testing.T, name, got string) {
 	}
 }
 
-// cycleShardCounts are the engine configurations every golden must verify
-// under: the sequential engine and the parallel round engine at 2, 4 and 8
-// shards. The golden files are recorded from the sequential engine; the
-// parallel renderings must match them byte for byte.
-var cycleShardCounts = []int{1, 2, 4, 8}
-
 // TestCycleIdentityRadix runs the paper-machine RADIX workload at test scale
 // under all five schemes and compares against the recorded goldens — the
 // same configuration scripts/benchcore measures, so the perf trajectory and
-// the correctness pin cover the identical path. Every shard count must
-// reproduce the sequential golden exactly.
+// the correctness pin cover the identical path.
 func TestCycleIdentityRadix(t *testing.T) {
 	cfg := experiments.ConfigForScale(Baseline(), ScaleTest)
-	for _, shards := range cycleShardCounts {
-		var b strings.Builder
-		for _, sch := range Schemes() {
-			bench, err := BenchmarkByName("RADIX", ScaleTest)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := RunParallel(cfg.WithScheme(sch), bench, shards)
-			if err != nil {
-				t.Fatalf("%v x%d: %v", sch, shards, err)
-			}
-			renderRun(&b, "RADIX", sch, res.Sim, res.Machine)
+	var b strings.Builder
+	for _, sch := range Schemes() {
+		bench, err := BenchmarkByName("RADIX", ScaleTest)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if shards > 1 && *updateCycles {
-			continue // goldens are recorded from the sequential engine only
+		res, err := Run(context.Background(), cfg.WithScheme(sch), bench, RunOptions{})
+		if err != nil {
+			t.Fatalf("%v: %v", sch, err)
 		}
-		compareCycleGolden(t, "cycle_identity_radix.golden", b.String())
+		renderRun(&b, "RADIX", sch, res.Sim, res.Machine)
 	}
+	compareCycleGolden(t, "cycle_identity_radix.golden", b.String())
 }
 
 // TestCycleIdentityCorpora replays every committed fuzzgen corpus input
@@ -133,29 +122,24 @@ func TestCycleIdentityCorpora(t *testing.T) {
 	}
 	sort.Strings(names)
 
-	for _, shards := range cycleShardCounts {
-		var b strings.Builder
-		for _, n := range names {
-			vals := inputs[n]
-			if len(vals) < 3 {
-				t.Fatalf("%s: %d values, want at least 3", n, len(vals))
-			}
-			w := fuzzgen.Derive(vals[0], vals[1], vals[2])
-			for _, sch := range Schemes() {
-				cfg := config.SmallTest().WithScheme(sch)
-				bench := workload.Benchmark(w)
-				res, err := RunParallel(cfg, bench, shards)
-				if err != nil {
-					t.Fatalf("%s under %v x%d: %v", n, sch, shards, err)
-				}
-				renderRun(&b, n, sch, res.Sim, res.Machine)
-			}
+	var b strings.Builder
+	for _, n := range names {
+		vals := inputs[n]
+		if len(vals) < 3 {
+			t.Fatalf("%s: %d values, want at least 3", n, len(vals))
 		}
-		if shards > 1 && *updateCycles {
-			continue // goldens are recorded from the sequential engine only
+		w := fuzzgen.Derive(vals[0], vals[1], vals[2])
+		for _, sch := range Schemes() {
+			cfg := config.SmallTest().WithScheme(sch)
+			bench := workload.Benchmark(w)
+			res, err := Run(context.Background(), cfg, bench, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s under %v: %v", n, sch, err)
+			}
+			renderRun(&b, n, sch, res.Sim, res.Machine)
 		}
-		compareCycleGolden(t, "cycle_identity_corpora.golden", b.String())
 	}
+	compareCycleGolden(t, "cycle_identity_corpora.golden", b.String())
 }
 
 // parseCorpus reads a Go native fuzz corpus file and returns its uint64

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -22,7 +23,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := vcoma.Run(cfg, bench)
+	res, err := vcoma.Run(context.Background(), cfg, bench, vcoma.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func main() {
 		lookups, misses, 100*float64(misses)/float64(ms.Refs))
 	fmt.Println("\ncompare with the traditional design:")
 
-	l0, err := vcoma.Run(cfg.WithScheme(vcoma.L0TLB), bench)
+	l0, err := vcoma.Run(context.Background(), cfg.WithScheme(vcoma.L0TLB), bench, vcoma.RunOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

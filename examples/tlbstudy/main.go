@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -35,7 +36,7 @@ func main() {
 	}
 
 	// One pass, every candidate size in both organizations.
-	res, err := vcoma.RunObserved(cfg, bench, tlb.PaperSpecs())
+	res, err := vcoma.Run(context.Background(), cfg, bench, vcoma.RunOptions{Specs: tlb.PaperSpecs()})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,12 +87,6 @@ type Cache struct {
 	// nothing in steady state.
 	dirtyScratch []uint64
 
-	// undo is the set-granular checkpoint journal behind the parallel
-	// engine's burst rewind (undo.go). Only the ReadU/WriteU variants
-	// consult it; the plain Read/Write hot paths are unaffected.
-	undo      *undoLog
-	undoArmed bool
-
 	stats Stats
 }
 

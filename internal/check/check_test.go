@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"vcoma/internal/addr"
 	"vcoma/internal/check/fuzzgen"
 	"vcoma/internal/coherence"
 	"vcoma/internal/config"
@@ -279,4 +280,39 @@ func drainAll(t *testing.T, w *fuzzgen.Workload) [][]trace.Event {
 		}
 	}
 	return out
+}
+
+// BenchmarkCheckerPerReference pins the checker's per-reference cost after
+// a test-scale preload. Preload touches every block of the workload, so any
+// per-reference work proportional to the blocks touched since the checker
+// attached (rather than to the blocks this reference touched) shows up here.
+func BenchmarkCheckerPerReference(b *testing.B) {
+	cfg := benchConfig(config.L0TLB)
+	bench, err := workload.ByName("FFT", workload.ScaleTest)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := machine.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog, err := bench.Build(cfg.Geometry, cfg.Geometry.Nodes())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ck := Attach(m, 0, 0)
+	m.Preload(prog.Layout())
+	ck.Settle()
+	base := prog.Layout().Regions()[0].Base
+	blk := cfg.Geometry.AMBlockSize()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		va := base + addr.Virtual(uint64(i%64)*blk)
+		m.Access(uint64(i), addr.Node(i%cfg.Geometry.Nodes()), va, i%4 == 0)
+	}
+	b.StopTimer()
+	if err := ck.Err(); err != nil {
+		b.Fatal(err)
+	}
 }

@@ -37,6 +37,7 @@ import (
 	"vcoma/internal/addr"
 	"vcoma/internal/coherence"
 	"vcoma/internal/config"
+	"vcoma/internal/dense"
 	"vcoma/internal/machine"
 	"vcoma/internal/mem"
 )
@@ -68,9 +69,14 @@ type Checker struct {
 	backing map[addr.Virtual]uint64
 	ver     []map[addr.Virtual]uint64
 
-	// touched accumulates blocks whose architectural state changed since
-	// the last settle point; they are re-validated after each reference.
-	touched map[addr.Virtual]struct{}
+	// touched lists, in first-touch order, the blocks whose architectural
+	// state changed since the last settle point; they are re-validated
+	// after each reference. stamp marks a block (indexed by block number)
+	// as listed when it holds the current gen, so emptying the set is one
+	// increment rather than work proportional to every block ever touched.
+	touched []addr.Virtual
+	stamp   dense.Table[uint64]
+	gen     uint64
 
 	refs       uint64
 	refsByProc []uint64
@@ -100,7 +106,7 @@ func Attach(m *machine.Machine, scanEvery uint64, maxViolations int) *Checker {
 		global:        make(map[addr.Virtual]uint64),
 		backing:       make(map[addr.Virtual]uint64),
 		ver:           make([]map[addr.Virtual]uint64, g.Nodes()),
-		touched:       make(map[addr.Virtual]struct{}),
+		gen:           1,
 		refsByProc:    make([]uint64, g.Nodes()),
 		scanEvery:     scanEvery,
 		maxViolations: maxViolations,
@@ -192,7 +198,12 @@ func (c *Checker) virt(block uint64) addr.Virtual {
 	return c.m.VirtualOfProtoBlock(block)
 }
 
-func (c *Checker) touch(vb addr.Virtual) { c.touched[vb] = struct{}{} }
+func (c *Checker) touch(vb addr.Virtual) {
+	if s := c.stamp.Ensure(uint64(vb) >> c.g.AMBlockBits); *s != c.gen {
+		*s = c.gen
+		c.touched = append(c.touched, vb)
+	}
+}
 
 // --- coherence.Sink ---
 
@@ -308,7 +319,7 @@ func (c *Checker) checkTouched() {
 		nodes := c.g.Nodes()
 		assoc := c.g.AMAssoc()
 		dir := c.prot.Directory()
-		for vb := range c.touched {
+		for _, vb := range c.touched {
 			pb := c.m.ProtoBlock(vb)
 			if err := dir.CheckBlock(pb, c.probe, nodes); err != nil {
 				c.fail("%v", err)
@@ -320,7 +331,8 @@ func (c *Checker) checkTouched() {
 			}
 		}
 	}
-	clear(c.touched)
+	c.touched = c.touched[:0]
+	c.gen++
 }
 
 func (c *Checker) probe(n addr.Node, block uint64) coherence.ProbeState {

@@ -216,6 +216,11 @@ func SmallTest() Config {
 	return c
 }
 
+// MaxTLBEntries bounds TLBEntries at eight times the paper's largest buffer
+// (512 entries, Figures 8 and 9). Every node allocates its buffer up front,
+// so a size taken from outside the program must not be unbounded.
+const MaxTLBEntries = 4096
+
 // Validate checks the whole configuration for consistency.
 func (c Config) Validate() error {
 	if err := c.Geometry.Validate(); err != nil {
@@ -238,6 +243,9 @@ func (c Config) Validate() error {
 	}
 	if c.TLBEntries <= 0 {
 		return fmt.Errorf("config: TLB/DLB must have at least one entry, got %d", c.TLBEntries)
+	}
+	if c.TLBEntries > MaxTLBEntries {
+		return fmt.Errorf("config: TLB/DLB size %d exceeds the maximum %d", c.TLBEntries, MaxTLBEntries)
 	}
 	if c.TLBOrg != FullyAssoc && c.TLBEntries&(c.TLBEntries-1) != 0 {
 		return fmt.Errorf("config: %v TLB/DLB size %d not a power of two", c.TLBOrg, c.TLBEntries)

@@ -79,6 +79,8 @@ func TestValidateRejections(t *testing.T) {
 			func(c *Config) { c.TLBEntries = 0 }, "at least one entry"},
 		{"negative TLB entries",
 			func(c *Config) { c.TLBEntries = -4 }, "at least one entry"},
+		{"oversized TLB",
+			func(c *Config) { c.TLBOrg = DirectMapped; c.TLBEntries = 1 << 40 }, "exceeds the maximum"},
 		{"non-power-of-two direct-mapped TLB",
 			func(c *Config) { c.TLBOrg = DirectMapped; c.TLBEntries = 6 }, "not a power of two"},
 		{"non-power-of-two set-associative TLB",

@@ -66,29 +66,9 @@ func BudgetFrom(ctx context.Context) sim.Budget {
 	return b
 }
 
-// shardsCtxKey carries the parallel shard count through a runner context.
-type shardsCtxKey struct{}
-
-// WithShards runs every simulation pass under ctx on the parallel engine
-// with n shard goroutines (n ≤ 1 = sequential). Results are byte-identical
-// either way, so shard count — like supervision and instrumentation — never
-// invalidates a pass cache entry.
-func WithShards(ctx context.Context, n int) context.Context {
-	if n <= 1 {
-		return ctx
-	}
-	return context.WithValue(ctx, shardsCtxKey{}, n)
-}
-
-// ShardsFrom returns the shard count installed by WithShards, or 0.
-func ShardsFrom(ctx context.Context) int {
-	n, _ := ctx.Value(shardsCtxKey{}).(int)
-	return n
-}
-
 // runPass simulates one benchmark under one scheme with observers attached.
 func runPass(cfg config.Config, bench workload.Benchmark, specs []tlb.Spec) (*machine.Machine, sim.Result, error) {
-	m, _, res, err := passCtx(context.Background(), cfg, bench, specs, nil)
+	m, _, res, err := Pass(context.Background(), cfg, bench, specs, nil)
 	return m, res, err
 }
 
@@ -101,14 +81,17 @@ func runPass(cfg config.Config, bench workload.Benchmark, specs []tlb.Spec) (*ma
 // trip computes the same result as a plain one — which is what lets
 // metrics-enabled and watchdog-guarded runs share cache entries.
 func runPassCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, specs []tlb.Spec, o *obs.Observer) (*machine.Machine, sim.Result, error) {
-	m, _, res, err := passCtx(ctx, cfg, bench, specs, o)
+	m, _, res, err := Pass(ctx, cfg, bench, specs, o)
 	return m, res, err
 }
 
-// passCtx is the single pass implementation behind runPass/runPassCtx and
-// SimulateCtx; it additionally returns the built program so callers can
-// report the workload's layout.
-func passCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, specs []tlb.Spec, o *obs.Observer) (*machine.Machine, *workload.Program, sim.Result, error) {
+// Pass is the single pass implementation behind runPass/runPassCtx,
+// SimulateCtx and the root package's Run: it builds a machine for cfg,
+// attaches the observer banks for specs (if any) and the sink o, builds and
+// preloads bench, and simulates it under ctx and any WithBudget budget. It
+// also returns the built program so callers can report the workload's
+// layout.
+func Pass(ctx context.Context, cfg config.Config, bench workload.Benchmark, specs []tlb.Spec, o *obs.Observer) (*machine.Machine, *workload.Program, sim.Result, error) {
 	// Request-scoped tracing: when a service request's span rides the
 	// context, the pass's phases nest under it (all no-ops otherwise).
 	parent := obs.SpanFrom(ctx)
@@ -139,7 +122,6 @@ func passCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, s
 	eng.SetBudget(BudgetFrom(ctx))
 	eng.SetContext(ctx)
 	eng.SetObserver(o)
-	eng.SetParallel(ShardsFrom(ctx))
 	simSp := parent.StartChild("simulate")
 	simSp.SetAttr("scheme", cfg.Scheme.String())
 	eng.SetSpan(simSp)

@@ -95,7 +95,7 @@ func RunSummaryOf(cfg config.Config, benchName string, scale workload.Scale, lay
 // instruments the run — and returns its machine-readable summary. This is
 // the pass behind every vcoma-serve job.
 func SimulateCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, scale workload.Scale) (report.RunSummary, error) {
-	m, prog, res, err := passCtx(ctx, cfg, bench, nil, runner.ObserverFrom(ctx))
+	m, prog, res, err := Pass(ctx, cfg, bench, nil, runner.ObserverFrom(ctx))
 	if err != nil {
 		return report.RunSummary{}, err
 	}

@@ -30,19 +30,6 @@ func New(seed uint64) *Source {
 	return s
 }
 
-// State returns the generator's internal state, for checkpointing. A
-// Source restored with SetState(State()) continues the identical stream.
-func (s *Source) State() uint64 { return s.state }
-
-// SetState restores a state previously captured with State. Restoring an
-// arbitrary zero value is rejected the same way New rejects a zero seed.
-func (s *Source) SetState(v uint64) {
-	if v == 0 {
-		v = 0x9E3779B97F4A7C15
-	}
-	s.state = v
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *Source) Uint64() uint64 {
 	x := s.state

@@ -118,8 +118,8 @@ type obsCtxKey struct{}
 
 // ObserverFrom returns the observability sink a Metrics-enabled Run
 // installed for this job, or nil. Job functions pass it to instrumented
-// entry points (e.g. vcoma.RunInstrumented); a nil result degrades to an
-// uninstrumented run.
+// entry points (e.g. vcoma.RunOptions.Observer); a nil result degrades to
+// an uninstrumented run.
 func ObserverFrom(ctx context.Context) *obs.Observer {
 	o, _ := ctx.Value(obsCtxKey{}).(*obs.Observer)
 	return o

@@ -344,7 +344,8 @@ func TestServiceCancelQueuedJob(t *testing.T) {
 }
 
 func TestServiceValidationAndIntrospection(t *testing.T) {
-	_, ts, _ := testServer(t, t.TempDir(), nil)
+	dir := t.TempDir()
+	_, ts, stop := testServer(t, dir, nil)
 	if code, _, _ := post(t, ts.URL+"/v1/jobs", Request{Bench: "NOPE", Scheme: "l0", Scale: "test"}); code != http.StatusBadRequest {
 		t.Fatalf("unknown bench: %d", code)
 	}
@@ -353,6 +354,9 @@ func TestServiceValidationAndIntrospection(t *testing.T) {
 	}
 	if code, _, _ := post(t, ts.URL+"/v1/jobs", Request{Bench: "RADIX", Scheme: "l0", Scale: "test", TLB: 3, Org: "dm"}); code != http.StatusBadRequest {
 		t.Fatalf("config.Validate must reject a non-power-of-two DM TLB: %d", code)
+	}
+	if code, _, _ := post(t, ts.URL+"/v1/jobs", Request{Bench: "RADIX", Scheme: "l0", Scale: "test", TLB: 1 << 40, Org: "dm"}); code != http.StatusBadRequest {
+		t.Fatalf("config.Validate must reject an oversized TLB: %d", code)
 	}
 	if code, _ := get(t, ts.URL+"/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz: %d", code)
@@ -384,6 +388,16 @@ func TestServiceValidationAndIntrospection(t *testing.T) {
 	}
 	if code, _ := get(t, ts.URL+"/debug/pprof/cmdline"); code != http.StatusOK {
 		t.Fatalf("pprof: %d", code)
+	}
+	// Rejected requests never reach the accept journal.
+	stop()
+	j, pending, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	if len(pending) != 0 {
+		t.Fatalf("rejected requests were journaled: %+v", pending)
 	}
 }
 

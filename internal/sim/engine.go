@@ -186,11 +186,6 @@ type Engine struct {
 	// (nil by default). internal/check digests the architectural event
 	// stream through it; the callback must be purely observational.
 	stepObs func(proc int, ev trace.Event)
-
-	// shards selects the parallel round engine when > 1 (see parallel.go);
-	// par holds its bookkeeping while a parallel run is active.
-	shards int
-	par    *parRunner
 }
 
 // SetSpan attaches a request-scoped trace span to the run. On completion
@@ -385,11 +380,7 @@ func (e *Engine) Run() (Result, error) {
 		}
 	}()
 	e.wallStart = time.Now()
-	if e.shards > 1 && e.parallelOK() {
-		if err := e.runParallel(); err != nil {
-			return Result{}, err
-		}
-	} else if err := e.runLoop(); err != nil {
+	if err := e.runLoop(); err != nil {
 		return Result{}, err
 	}
 	if !e.allDone() {
@@ -410,7 +401,7 @@ func (e *Engine) Run() (Result, error) {
 	return res, nil
 }
 
-// runLoop is the sequential scheduling loop, run to quiescence: it returns
+// runLoop is the scheduling loop, run to quiescence: it returns
 // nil once no processor is runnable (workload complete, or deadlocked —
 // Run's caller distinguishes the two), or the first step/budget error.
 func (e *Engine) runLoop() error {

@@ -385,3 +385,89 @@ func TestEngineRunsGeneratorStreams(t *testing.T) {
 		t.Fatalf("events %d", res.Events)
 	}
 }
+
+// TestLockQueueRingWraparound exercises lockState's ring buffer directly:
+// FIFO order must survive qhead resets in both push (append after full
+// drain) and pop (drain to empty mid-stream), across several cycles.
+func TestLockQueueRingWraparound(t *testing.T) {
+	var l lockState
+	next := int32(0)
+	expect := int32(0)
+	push := func(n int) {
+		for k := 0; k < n; k++ {
+			l.push(next, uint64(next))
+			next++
+		}
+	}
+	pop := func(n int) {
+		t.Helper()
+		for k := 0; k < n; k++ {
+			w := l.pop()
+			if w.proc != expect || w.arrived != uint64(expect) {
+				t.Fatalf("pop: got proc %d arrived %d, want %d", w.proc, w.arrived, expect)
+			}
+			expect++
+		}
+	}
+	push(3)
+	pop(2)  // qhead=2, len=3
+	push(4) // grows past the head
+	pop(5)  // drains to empty: qhead reset in pop
+	if l.queueLen() != 0 {
+		t.Fatalf("queue should be empty, len %d", l.queueLen())
+	}
+	push(2) // push after reset reuses the backing array
+	pop(1)
+	pop(1) // qhead == len again
+	for cycle := 0; cycle < 50; cycle++ {
+		push(1 + cycle%4)
+		pop(1 + cycle%4)
+	}
+	if l.queueLen() != 0 || l.qhead != 0 {
+		t.Fatalf("ring did not reset: len %d qhead %d", l.queueLen(), l.qhead)
+	}
+}
+
+// TestSyncIDOverflowTables drives lock and barrier IDs outside the dense
+// tables — at, above, and below the maxDenseSyncID bound, including
+// negative — through a real contended run.
+func TestSyncIDOverflowTables(t *testing.T) {
+	ids := []int{0, maxDenseSyncID - 1, maxDenseSyncID, maxDenseSyncID + 17, 1 << 20, -1, -99}
+	events := make([][]trace.Event, 4)
+	for p := range events {
+		var evs []trace.Event
+		for _, id := range ids {
+			evs = append(evs,
+				trace.Event{Kind: trace.Compute, Cycles: uint64(1 + p)},
+				trace.Event{Kind: trace.LockAcquire, ID: id},
+				trace.Event{Kind: trace.Compute, Cycles: 5},
+				trace.Event{Kind: trace.LockRelease, ID: id},
+				trace.Event{Kind: trace.Barrier, ID: id},
+			)
+		}
+		events[p] = evs
+	}
+	want := run(t, newMachine(t), streams(events...))
+	if want.ExecTime == 0 {
+		t.Fatal("overflow-ID run did not execute")
+	}
+	for _, p := range want.Procs {
+		if p.Sync == 0 {
+			t.Fatalf("no sync time recorded under contention: %+v", p)
+		}
+	}
+}
+
+// TestPackSchedKeyOverflowPanics pins the 48-bit packed-clock guard: a clock
+// at the key boundary must panic loudly rather than misorder the schedule.
+func TestPackSchedKeyOverflowPanics(t *testing.T) {
+	if k := packSchedKey(1<<48-1, 7); k>>schedIndexBits != 1<<48-1 {
+		t.Fatalf("key %x lost clock bits", k)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("packSchedKey accepted a clock beyond 48 bits")
+		}
+	}()
+	packSchedKey(1<<48, 0)
+}

@@ -111,20 +111,13 @@ type Dump struct {
 	Events uint64 `json:"events"`
 	// StallWindow is the number of events retired since any clock last
 	// advanced (the livelock window at the trip point).
-	StallWindow uint64 `json:"stallWindow"`
-	// Shards and Rounds describe the parallel round engine when it was
-	// active (zero for sequential runs). A parallel trip fires only at a
-	// round barrier or inside the sequential drain — never mid-burst — so
-	// every clock and counter below reflects the same committed prefix of
-	// the run regardless of shard count.
-	Shards   int             `json:"shards,omitempty"`
-	Rounds   uint64          `json:"rounds,omitempty"`
-	Procs    []ProcDump      `json:"procs"`
-	Locks    []LockDump      `json:"locks,omitempty"`
-	Barriers []BarrierDump   `json:"barriers,omitempty"`
-	Nodes    []NodeDump      `json:"nodes,omitempty"`
-	Protocol coherence.Stats `json:"protocol"`
-	Network  network.Stats   `json:"network"`
+	StallWindow uint64          `json:"stallWindow"`
+	Procs       []ProcDump      `json:"procs"`
+	Locks       []LockDump      `json:"locks,omitempty"`
+	Barriers    []BarrierDump   `json:"barriers,omitempty"`
+	Nodes       []NodeDump      `json:"nodes,omitempty"`
+	Protocol    coherence.Stats `json:"protocol"`
+	Network     network.Stats   `json:"network"`
 }
 
 // Render formats the dump as an indented text block for terminals and logs.
@@ -134,9 +127,6 @@ func (d *Dump) Render() string {
 	fmt.Fprintf(&b, "  budget: %v\n", d.Budget)
 	fmt.Fprintf(&b, "  at cycle %d after %d events (%d events since last clock advance)\n",
 		d.Cycle, d.Events, d.StallWindow)
-	if d.Shards > 0 {
-		fmt.Fprintf(&b, "  parallel: %d shards, %d rounds (barrier-coherent snapshot)\n", d.Shards, d.Rounds)
-	}
 	running, done, waiting := 0, 0, 0
 	for _, p := range d.Procs {
 		switch p.State {
@@ -266,10 +256,6 @@ func (e *Engine) dump(reason string) *Dump {
 		Cycle:       e.maxClock,
 		Events:      e.events,
 		StallWindow: e.events - e.eventsAtAdvance,
-	}
-	if e.par != nil {
-		d.Shards = e.par.shards
-		d.Rounds = e.par.rounds
 	}
 
 	// Which synchronization object is each waiting processor blocked on?

@@ -87,5 +87,6 @@ func (s *System) Unmap(v addr.Virtual) (*Page, error) {
 		gps = s.g.GlobalPageSet(pn)
 	}
 	s.gpsPages[gps]--
+	s.gpsFree[gps] = append(s.gpsFree[gps], p.Slot)
 	return &p, nil
 }

@@ -90,6 +90,11 @@ type System struct {
 	// governs attraction-memory placement: the frame's set in physical
 	// mode, the virtual page's set otherwise).
 	gpsPages []int
+	// gpsFree holds, per global page set, the slots Unmap released; a new
+	// mapping reuses the most recently freed slot before taking a fresh
+	// one, so no two resident pages of a set share a slot (or, in Colored
+	// mode, a frame).
+	gpsFree [][]int
 	// gpsOverflow counts allocations that exceeded a global page set's
 	// P*K slots — pressure saturation that would force a swap-out in a
 	// real system (§4.3).
@@ -108,6 +113,7 @@ func NewSystem(g addr.Geometry, mode Mode) *System {
 		g:           g,
 		mode:        mode,
 		gpsPages:    make([]int, g.GlobalPageSets()),
+		gpsFree:     make([][]int, g.GlobalPageSets()),
 		gpsOverflow: make([]int, g.GlobalPageSets()),
 		dirPages:    make([]int, g.Nodes()),
 	}
@@ -148,11 +154,11 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		s.nextFrame++
 		p.Home = s.g.HomeNodeOfFrame(p.Frame)
 		gps := s.g.GlobalPageSetOfFrame(p.Frame)
-		p.Slot = s.gpsPages[gps]
+		p.Slot = s.allocSlot(gps)
 		s.account(gps)
 	case Colored:
 		gps := s.g.GlobalPageSet(pn)
-		p.Slot = s.gpsPages[gps]
+		p.Slot = s.allocSlot(gps)
 		// Frame = slot in the MSBs, colour in the LSBs (Figure 4), so the
 		// physical address indexes the same attraction-memory set as the
 		// virtual address.
@@ -161,7 +167,7 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		s.account(gps)
 	case VirtualOnly:
 		gps := s.g.GlobalPageSet(pn)
-		p.Slot = s.gpsPages[gps]
+		p.Slot = s.allocSlot(gps)
 		p.Home = s.g.HomeNodeOfPage(pn)
 		p.DirPage = s.dirPages[p.Home]
 		s.dirPages[p.Home]++
@@ -171,6 +177,18 @@ func (s *System) mapPage(pn addr.PageNum) *Page {
 		*s.frames.Ensure(uint64(p.Frame)) = pn
 	}
 	return p
+}
+
+// allocSlot returns a free page slot of global page set gps: the most
+// recently freed one, else the next never-used one. With no freed slot the
+// set's n resident pages hold exactly slots 0..n-1, so n is that next one.
+func (s *System) allocSlot(gps int) int {
+	free := s.gpsFree[gps]
+	if len(free) == 0 {
+		return s.gpsPages[gps]
+	}
+	s.gpsFree[gps] = free[:len(free)-1]
+	return free[len(free)-1]
 }
 
 func (s *System) account(gps int) {
@@ -189,24 +207,6 @@ func (s *System) Translate(v addr.Virtual) addr.Physical {
 	}
 	p := s.Ensure(v)
 	return s.g.PhysAddr(p.Frame, v)
-}
-
-// TryTranslate maps a virtual address to its physical address if v's page
-// is already mapped, with no side effects: no first-touch mapping and no
-// fault accounting. The parallel engine's contained access path uses it to
-// classify references against frozen VM state; any reference to an
-// unmapped page is deferred to the sequential drain, which performs the
-// first touch through Translate in exact sequential order. It panics in
-// VirtualOnly mode, like Translate.
-func (s *System) TryTranslate(v addr.Virtual) (addr.Physical, bool) {
-	if s.mode == VirtualOnly {
-		panic("vm: TryTranslate called on a V-COMA (virtual-only) system")
-	}
-	p := s.Lookup(v)
-	if p == nil {
-		return 0, false
-	}
-	return s.g.PhysAddr(p.Frame, v), true
 }
 
 // DirAddrOf returns the directory address of v's block at its home node,

@@ -338,6 +338,48 @@ func TestUnmapFreesSlot(t *testing.T) {
 	}
 }
 
+// TestUnmapReusesFreedSlot maps two pages of one global page set, unmaps
+// the first, and maps a third: the third must take the freed slot, not the
+// slot (and, in Colored mode, the frame) of the page still mapped.
+func TestUnmapReusesFreedSlot(t *testing.T) {
+	gm := g()
+	for _, mode := range []Mode{PhysicalRoundRobin, Colored, VirtualOnly} {
+		s := NewSystem(gm, mode)
+		at := func(pn addr.PageNum) addr.Virtual { return addr.Virtual(uint64(pn) << gm.PageBits) }
+		s.Ensure(at(0x0))
+		s.Ensure(at(0x8))
+		if _, err := s.Unmap(at(0x0)); err != nil {
+			t.Fatalf("mode %v: %v", mode, err)
+		}
+		s.Ensure(at(0x10))
+
+		type setSlot struct{ gps, slot int }
+		slots := map[setSlot]addr.PageNum{}
+		frames := map[addr.Frame]addr.PageNum{}
+		for _, pn := range []addr.PageNum{0x8, 0x10} {
+			p := s.Lookup(at(pn))
+			gps := gm.GlobalPageSet(pn)
+			if mode == PhysicalRoundRobin {
+				gps = gm.GlobalPageSetOfFrame(p.Frame)
+			}
+			if other, dup := slots[setSlot{gps, p.Slot}]; dup {
+				t.Fatalf("mode %v: pages %#x and %#x share slot %d of set %d", mode, other, pn, p.Slot, gps)
+			}
+			slots[setSlot{gps, p.Slot}] = pn
+			if mode == VirtualOnly {
+				continue
+			}
+			if other, dup := frames[p.Frame]; dup {
+				t.Fatalf("mode %v: pages %#x and %#x share frame %#x", mode, other, pn, uint64(p.Frame))
+			}
+			frames[p.Frame] = pn
+			if got, ok := s.ReversePage(p.Frame); !ok || got != pn {
+				t.Fatalf("mode %v: frame %#x reverse-maps to %#x, want %#x", mode, uint64(p.Frame), uint64(got), uint64(pn))
+			}
+		}
+	}
+}
+
 func TestUnmapReleasesFrameReverseMapping(t *testing.T) {
 	s := NewSystem(g(), PhysicalRoundRobin)
 	v := addr.Virtual(0x5000)

@@ -20,7 +20,7 @@ func obsRun(t *testing.T, cfg Config) (*RunResult, *Observer) {
 		t.Fatal(err)
 	}
 	o := NewObserver(ObserverOptions{MetricsInterval: 10000, TraceCapacity: 1 << 16})
-	res, err := RunInstrumented(cfg, bench, o)
+	res, err := Run(context.Background(), cfg, bench, RunOptions{Observer: o})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestObsTraceCategoryFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := NewObserver(ObserverOptions{TraceCapacity: 1 << 14, TraceCategories: "sync"})
-	if _, err := RunInstrumented(benchConfig(), bench, o); err != nil {
+	if _, err := Run(context.Background(), benchConfig(), bench, RunOptions{Observer: o}); err != nil {
 		t.Fatal(err)
 	}
 	evs := o.Tracer.Events()
@@ -156,7 +156,7 @@ func TestObsInstrumentationIsObservational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(benchConfig(), bench)
+	plain, err := Run(context.Background(), benchConfig(), bench, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

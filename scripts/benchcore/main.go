@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -102,28 +103,7 @@ func run() error {
 		var events float64
 		s := measure(fmt.Sprintf("sim_run_%v", sch), "end-to-end RADIX, machine build + simulate", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := vcoma.Run(cfg.WithScheme(sch), bench)
-				if err != nil {
-					b.Fatal(err)
-				}
-				events = float64(res.Sim.Events)
-			}
-		})
-		s.Metrics, s.MetricName = events, "events/run"
-		snap.Scenarios = append(snap.Scenarios, s)
-	}
-
-	// The same RADIX runs through the parallel round engine at 4 shards:
-	// burst/rewind/drain plus the parity-preserving merged replay. events/run
-	// must equal the matching sequential scenario exactly (cycle identity);
-	// ns_op is honest wall-clock on whatever CPUs the host offers — the
-	// snapshot's cpus field records how much parallelism was available.
-	for _, sch := range []config.Scheme{config.L0TLB, config.VCOMA} {
-		sch := sch
-		var events float64
-		s := measure(fmt.Sprintf("sim_run_par4_%v", sch), "end-to-end RADIX, 4-shard parallel round engine", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := vcoma.RunParallel(cfg.WithScheme(sch), bench, 4)
+				res, err := vcoma.Run(context.Background(), cfg.WithScheme(sch), bench, vcoma.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -146,7 +126,7 @@ func run() error {
 		var events float64
 		s := measure("sim_run_sync_BARNES", "end-to-end BARNES (lock/barrier heavy), machine build + simulate", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := vcoma.Run(cfg.WithScheme(config.L0TLB), syncBench)
+				res, err := vcoma.Run(context.Background(), cfg.WithScheme(config.L0TLB), syncBench, vcoma.RunOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -7,17 +7,19 @@
 // cache coherence protocol.
 //
 // The root package is the public API: build a machine (Baseline, NewMachine),
-// pick a workload (Benchmarks, BenchmarkByName), and run it (Run). The
-// experiment harness that regenerates every table and figure of the paper
-// lives behind RunExperiment and the cmd/ tools.
+// pick a workload (Benchmarks, BenchmarkByName), and run it with the single
+// entry point Run(ctx, cfg, b, RunOptions{}); RunOptions adds an observer,
+// a watchdog budget or an observer-bank grid. The experiment harness that
+// regenerates every table and figure of the paper lives behind the cmd/
+// tools.
 package vcoma
 
 import (
 	"context"
-	"fmt"
 
 	"vcoma/internal/addr"
 	"vcoma/internal/config"
+	"vcoma/internal/experiments"
 	"vcoma/internal/machine"
 	"vcoma/internal/obs"
 	"vcoma/internal/sim"
@@ -81,8 +83,8 @@ func PaperTLBSizes() []int { return tlb.PaperSizes }
 // PaperTLBSizes, fully associative and direct mapped.
 func PaperTLBSpecs() []TLBSpec { return tlb.PaperSpecs() }
 
-// MergeBanks aggregates the per-node observer banks of a RunObserved result
-// into machine totals.
+// MergeBanks aggregates the per-node observer banks of a run with
+// RunOptions.Specs into machine totals.
 func MergeBanks(banks []*tlb.Bank) *tlb.MergedBank { return tlb.Merge(banks) }
 
 // Workload parameter types, re-exported for callers that build custom
@@ -153,49 +155,6 @@ func (r *RunResult) SharedMB() float64 {
 	return float64(r.Program.Layout().TotalBytes()) / (1 << 20)
 }
 
-// Run builds a machine for cfg, builds and preloads b, and simulates it to
-// completion.
-func Run(cfg Config, b Benchmark) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, nil, Budget{}, 0)
-}
-
-// RunParallel is Run with the engine's intra-run parallel mode: the 32
-// simulated processors are partitioned across shards goroutines that
-// batch-step node-local events between synchronization barriers. Results
-// are byte-identical to Run for every scheme and workload — the parity is
-// enforced by internal/check's differential oracle and fuzz harness.
-// shards ≤ 1 is exactly Run.
-func RunParallel(cfg Config, b Benchmark, shards int) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, nil, Budget{}, shards)
-}
-
-// RunOptions collects every optional knob of a run in one place. The zero
-// value is exactly Run.
-type RunOptions struct {
-	// Observer attaches an observability sink (see RunInstrumented).
-	// Instrumented machines run on the sequential engine even when Shards
-	// is set; results are identical either way.
-	Observer *Observer
-	// Budget arms the watchdog (see RunSupervised).
-	Budget Budget
-	// Shards selects the parallel engine's goroutine count (see
-	// RunParallel). 0 or 1 is the sequential engine.
-	Shards int
-}
-
-// RunWithOptions is Run with all optional knobs: context bound, observer,
-// watchdog budget, and parallel shard count.
-func RunWithOptions(ctx context.Context, cfg Config, b Benchmark, opt RunOptions) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, opt.Observer, opt.Budget, opt.Shards)
-}
-
-// RunObserved is Run with a translation-observer bank grid attached to the
-// scheme's tap points: one pass measures every (size, organization) in
-// specs. Used by the Figure 8/9 and Table 2/3 experiments.
-func RunObserved(cfg Config, b Benchmark, specs []tlb.Spec) (*RunResult, error) {
-	return run(context.Background(), cfg, b, specs, nil, Budget{}, 0)
-}
-
 // Budget bounds a supervised run: simulated-cycle, retired-event,
 // forward-progress (livelock) and wall-clock limits. The zero value is
 // unbounded.
@@ -206,14 +165,6 @@ type Budget = sim.Budget
 // lock and barrier queues, per-node memory-system state).
 type WatchdogError = sim.WatchdogError
 
-// RunSupervised is Run bounded by a context and a watchdog budget: the
-// simulation aborts with a *WatchdogError diagnostic when any budget limit
-// or the context deadline is exceeded, and with ctx's error when it is
-// cancelled, instead of spinning on a diverging or livelocked workload.
-func RunSupervised(ctx context.Context, cfg Config, b Benchmark, budget Budget) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, nil, budget, 0)
-}
-
 // Observer is the simulator-wide instrumentation sink (metrics registry,
 // epoch sampler, trace-event buffer). Build one with NewObserver.
 type Observer = obs.Observer
@@ -221,49 +172,36 @@ type Observer = obs.Observer
 // ObserverOptions configures an Observer.
 type ObserverOptions = obs.Options
 
-// NewObserver builds an instrumentation sink to pass to RunInstrumented.
+// NewObserver builds an instrumentation sink for RunOptions.Observer.
 func NewObserver(opt ObserverOptions) *Observer { return obs.New(opt) }
 
-// RunInstrumented is Run with an observability sink attached through every
-// layer: per-node and per-processor metrics sampled each epoch, latency
-// histograms, and Chrome-trace events. A nil observer behaves like Run.
-func RunInstrumented(cfg Config, b Benchmark, o *Observer) (*RunResult, error) {
-	return run(context.Background(), cfg, b, nil, o, Budget{}, 0)
+// RunOptions collects the optional parts of a run. The zero value is a
+// plain run: no observer, no watchdog, no observer banks.
+type RunOptions struct {
+	// Observer attaches an observability sink through every layer:
+	// per-node and per-processor metrics sampled each epoch, latency
+	// histograms, and Chrome-trace events. Nil runs uninstrumented.
+	Observer *Observer
+	// Budget arms the watchdog: the run aborts with a *WatchdogError
+	// diagnostic when any limit is exceeded, instead of spinning on a
+	// diverging or livelocked workload. The zero value is unbounded.
+	Budget Budget
+	// Specs attaches a translation-observer bank grid to the scheme's tap
+	// points, so one pass measures every (size, organization) listed. Used
+	// by the Figure 8/9 and Table 2/3 experiments; read the banks back
+	// with MergeBanks(res.Machine.ObserverBanks()).
+	Specs []TLBSpec
 }
 
-// RunInstrumentedSupervised combines RunInstrumented and RunSupervised: an
-// observability sink plus a context bound and watchdog budget.
-func RunInstrumentedSupervised(ctx context.Context, cfg Config, b Benchmark, o *Observer, budget Budget) (*RunResult, error) {
-	return run(ctx, cfg, b, nil, o, budget, 0)
-}
-
-func run(ctx context.Context, cfg Config, b Benchmark, specs []tlb.Spec, o *obs.Observer, budget Budget, shards int) (*RunResult, error) {
-	m, err := machine.New(cfg)
+// Run builds a machine for cfg, builds and preloads b, and simulates it to
+// completion. ctx bounds the run: a deadline aborts it with a
+// *WatchdogError diagnostic, cancellation with ctx's error. Observers and
+// budgets are purely observational: a run that does not trip computes the
+// same result as a plain one.
+func Run(ctx context.Context, cfg Config, b Benchmark, opt RunOptions) (*RunResult, error) {
+	m, prog, res, err := experiments.Pass(experiments.WithBudget(ctx, opt.Budget), cfg, b, opt.Specs, opt.Observer)
 	if err != nil {
 		return nil, err
-	}
-	prog, err := b.Build(cfg.Geometry, cfg.Geometry.Nodes())
-	if err != nil {
-		return nil, err
-	}
-	if specs != nil {
-		if err := m.AttachObserverBanks(specs); err != nil {
-			return nil, err
-		}
-	}
-	m.AttachObserver(o)
-	m.Preload(prog.Layout())
-	eng, err := sim.New(m, prog.Streams())
-	if err != nil {
-		return nil, err
-	}
-	eng.SetBudget(budget)
-	eng.SetContext(ctx)
-	eng.SetObserver(o)
-	eng.SetParallel(shards)
-	res, err := eng.Run()
-	if err != nil {
-		return nil, fmt.Errorf("vcoma: running %s on %v: %w", prog.Name(), cfg.Scheme, err)
 	}
 	return &RunResult{Machine: m, Sim: res, Program: prog}, nil
 }

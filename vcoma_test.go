@@ -1,6 +1,7 @@
 package vcoma
 
 import (
+	"context"
 	"testing"
 
 	"vcoma/internal/experiments"
@@ -15,7 +16,7 @@ func testConfig() Config {
 func TestAllSchemesRunAllBenchmarks(t *testing.T) {
 	for _, bench := range Benchmarks(ScaleTest) {
 		for _, sch := range Schemes() {
-			res, err := Run(testConfig().WithScheme(sch), bench)
+			res, err := Run(context.Background(), testConfig().WithScheme(sch), bench, RunOptions{})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", bench.Name(), sch, err)
 			}
@@ -45,7 +46,7 @@ func TestSchemesSeeSameReferenceStream(t *testing.T) {
 	bench, _ := BenchmarkByName("FFT", ScaleTest)
 	var refs []uint64
 	for _, sch := range Schemes() {
-		res, err := Run(testConfig().WithScheme(sch), bench)
+		res, err := Run(context.Background(), testConfig().WithScheme(sch), bench, RunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestVCOMABeatsL0OnTranslationOverhead(t *testing.T) {
 	for _, bench := range Benchmarks(ScaleTest) {
 		var trans [2]uint64
 		for i, sch := range []Scheme{L0TLB, VCOMA} {
-			res, err := Run(testConfig().WithScheme(sch).WithTLB(8, FullyAssoc), bench)
+			res, err := Run(context.Background(), testConfig().WithScheme(sch).WithTLB(8, FullyAssoc), bench, RunOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -86,7 +87,7 @@ func TestFilteringEffect(t *testing.T) {
 	specs := []tlb.Spec{{Entries: 8, Org: FullyAssoc}}
 	var acc []uint64
 	for _, sch := range []Scheme{L0TLB, L1TLB, L3TLB} {
-		res, err := RunObserved(testConfig().WithScheme(sch), bench, specs)
+		res, err := Run(context.Background(), testConfig().WithScheme(sch), bench, RunOptions{Specs: specs})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestSharingEffect(t *testing.T) {
 	spec := tlb.Spec{Entries: 512, Org: FullyAssoc}
 	var cold []uint64
 	for _, sch := range []Scheme{L3TLB, VCOMA} {
-		res, err := RunObserved(testConfig().WithScheme(sch), bench, []tlb.Spec{spec})
+		res, err := Run(context.Background(), testConfig().WithScheme(sch), bench, RunOptions{Specs: []tlb.Spec{spec}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +122,7 @@ func TestPressureProfileUniform(t *testing.T) {
 	// sets without tuning. Max pressure within 10x of mean (the paper's
 	// profiles are nearly flat; small scale adds granularity noise).
 	bench, _ := BenchmarkByName("OCEAN", ScaleTest)
-	res, err := Run(testConfig().WithScheme(VCOMA), bench)
+	res, err := Run(context.Background(), testConfig().WithScheme(VCOMA), bench, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestPressureProfileUniform(t *testing.T) {
 
 func TestRunResultAccessors(t *testing.T) {
 	bench, _ := BenchmarkByName("RADIX", ScaleTest)
-	res, err := Run(testConfig(), bench)
+	res, err := Run(context.Background(), testConfig(), bench, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestPublicObserverAPI(t *testing.T) {
 	// without importing internal packages.
 	bench, _ := BenchmarkByName("RADIX", ScaleTest)
 	specs := []TLBSpec{{Entries: 8, Org: FullyAssoc}}
-	res, err := RunObserved(testConfig(), bench, specs)
+	res, err := Run(context.Background(), testConfig(), bench, RunOptions{Specs: specs})
 	if err != nil {
 		t.Fatal(err)
 	}
