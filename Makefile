@@ -24,6 +24,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzBufferParity -fuzztime 10s ./internal/tlb/
 	$(GO) test -run '^$$' -fuzz FuzzRequestResolve -fuzztime 30s ./internal/serve/
+	$(GO) test -run '^$$' -fuzz FuzzParseFailpoints -fuzztime 10s ./internal/fsio/
+	$(GO) test -run '^$$' -fuzz FuzzParseChaos -fuzztime 10s ./internal/runner/
 
 # Longer oracle soak over seeded random workloads; failing seeds are written
 # to fuzz-artifacts/ in Go fuzz-corpus format.
@@ -56,10 +58,10 @@ fsfault-smoke:
 	rm -rf fsfault-smoke.tmp
 
 # Power-cut crash-consistency sweeps: replay every fsync-truncated prefix of
-# recorded op traces and reopen the runner cache, the sweep journal and the
-# serve accept journal in each crash state, asserting their recovery
-# invariants (whole-entries-or-nothing, byte-identical resume, pending ⊆
-# accepted).
+# recorded op traces and reopen the shared durable log, the runner cache, the
+# sweep journal and the serve accept journal in each crash state, asserting
+# their recovery invariants (synced records read back and torn ones never,
+# whole-entries-or-nothing, byte-identical resume, pending ⊆ accepted).
 crashsim:
 	$(GO) test ./internal/fsio/... -count=1
 	$(GO) test ./internal/runner/ ./internal/serve/ -run 'CrashSweep|Torn' -count=1

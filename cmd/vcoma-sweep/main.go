@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -152,15 +151,7 @@ func run() int {
 		}
 		defer lock.Release()
 
-		jpath := filepath.Join(*cacheDir, "journal.json")
-		if *resume {
-			var prev map[string]runner.JournalEntry
-			journal, prev, err = runner.ResumeJournalFS(jpath, plan.Key(), fsys)
-			if err != nil {
-				return fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "resuming: journal records %d finished pass(es); cached results satisfy them without recomputing\n", len(prev))
-		} else if journal, err = runner.CreateJournalFS(jpath, plan.Key(), len(plan.Jobs()), fsys); err != nil {
+		if journal, err = runner.SweepJournal(*cacheDir, plan.Jobs(), *resume, fsys, os.Stderr); err != nil {
 			return fatal(err)
 		}
 		defer journal.Close()

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -39,7 +40,7 @@ func main() {
 		p.StackAlign = v.align
 		bench := vcoma.NewRaytrace(p)
 		c := cfg.WithScheme(v.scheme).WithTLB(8, vcoma.FullyAssoc)
-		b, err := experiments.Timed(c, bench, v.label)
+		b, err := experiments.Timed(context.Background(), c, bench, v.label)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -53,16 +53,11 @@ func AblationVariants(cfg config.Config) []AblationVariant {
 	}
 }
 
-// AblationRun executes one variant's pass. Relative is left zero; the
-// assembly normalizes against the baseline row.
-func AblationRun(v AblationVariant, bench workload.Benchmark) (AblationRow, error) {
-	return AblationRunCtx(context.Background(), v, bench)
-}
-
-// AblationRunCtx is AblationRun under a runner context (cancellation,
-// deadline, watchdog budget).
-func AblationRunCtx(ctx context.Context, v AblationVariant, bench workload.Benchmark) (AblationRow, error) {
-	m, res, err := runPassCtx(ctx, v.Cfg, bench, nil, nil)
+// AblationRun executes one variant's pass under ctx (cancellation,
+// deadline, watchdog budget). Relative is left zero; the assembly
+// normalizes against the baseline row.
+func AblationRun(ctx context.Context, v AblationVariant, bench workload.Benchmark) (AblationRow, error) {
+	m, _, res, err := Pass(ctx, v.Cfg, bench, nil, nil)
 	if err != nil {
 		return AblationRow{}, err
 	}
@@ -94,7 +89,7 @@ func NormalizeAblation(rows []AblationRow) []AblationRow {
 func AblationStudy(cfg config.Config, bench workload.Benchmark) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, v := range AblationVariants(cfg) {
-		row, err := AblationRun(v, bench)
+		row, err := AblationRun(context.Background(), v, bench)
 		if err != nil {
 			return nil, err
 		}
@@ -128,16 +123,11 @@ func RenderAblation(rows []AblationRow, markdown bool) string {
 var DLBOrgs = []config.TLBOrg{config.FullyAssoc, config.SetAssoc4, config.SetAssoc2, config.DirectMapped}
 
 // DLBOrgCell runs one (organization, size) cell of the sweep on the V-COMA
-// machine and returns the machine-wide DLB miss count.
-func DLBOrgCell(cfg config.Config, bench workload.Benchmark, size int, org config.TLBOrg) (uint64, error) {
-	return DLBOrgCellCtx(context.Background(), cfg, bench, size, org)
-}
-
-// DLBOrgCellCtx is DLBOrgCell under a runner context (cancellation,
-// deadline, watchdog budget).
-func DLBOrgCellCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, size int, org config.TLBOrg) (uint64, error) {
+// machine under ctx (cancellation, deadline, watchdog budget) and returns
+// the machine-wide DLB miss count.
+func DLBOrgCell(ctx context.Context, cfg config.Config, bench workload.Benchmark, size int, org config.TLBOrg) (uint64, error) {
 	c := cfg.WithScheme(config.VCOMA).WithTLB(size, org)
-	m, _, err := runPassCtx(ctx, c, bench, nil, nil)
+	m, _, _, err := Pass(ctx, c, bench, nil, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -156,7 +146,7 @@ func DLBOrgStudy(cfg config.Config, bench workload.Benchmark, sizes []int) (map[
 	for _, org := range DLBOrgs {
 		out[org] = make(map[int]uint64)
 		for _, size := range sizes {
-			misses, err := DLBOrgCell(cfg, bench, size, org)
+			misses, err := DLBOrgCell(context.Background(), cfg, bench, size, org)
 			if err != nil {
 				return nil, err
 			}

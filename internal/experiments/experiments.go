@@ -66,31 +66,16 @@ func BudgetFrom(ctx context.Context) sim.Budget {
 	return b
 }
 
-// runPass simulates one benchmark under one scheme with observers attached.
-func runPass(cfg config.Config, bench workload.Benchmark, specs []tlb.Spec) (*machine.Machine, sim.Result, error) {
-	m, _, res, err := Pass(context.Background(), cfg, bench, specs, nil)
-	return m, res, err
-}
-
-// runPassCtx is runPass under a runner context: the engine is bounded by
-// ctx (cancellation and deadline abort the pass, deadlines with a watchdog
-// diagnostic), armed with any WithBudget watchdog budget the context
-// carries, and instrumented when the context's runner installed an
-// observability sink (nil o = plain pass). Supervision and instrumentation
-// are purely observational: a supervised, instrumented pass that does not
-// trip computes the same result as a plain one — which is what lets
-// metrics-enabled and watchdog-guarded runs share cache entries.
-func runPassCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, specs []tlb.Spec, o *obs.Observer) (*machine.Machine, sim.Result, error) {
-	m, _, res, err := Pass(ctx, cfg, bench, specs, o)
-	return m, res, err
-}
-
-// Pass is the single pass implementation behind runPass/runPassCtx,
-// SimulateCtx and the root package's Run: it builds a machine for cfg,
-// attaches the observer banks for specs (if any) and the sink o, builds and
-// preloads bench, and simulates it under ctx and any WithBudget budget. It
-// also returns the built program so callers can report the workload's
-// layout.
+// Pass is the single pass implementation behind every study and the root
+// package's Run: it builds a machine for cfg, attaches the observer banks
+// for specs (if any) and the sink o (nil = plain pass), builds and preloads
+// bench, and simulates it under ctx — cancellation and deadline abort the
+// pass, deadlines with a watchdog diagnostic — and any WithBudget budget.
+// It also returns the built program so callers can report the workload's
+// layout. Supervision and instrumentation are purely observational: a
+// supervised, instrumented pass that does not trip computes the same result
+// as a plain one, which is what lets metrics-enabled and watchdog-guarded
+// runs share cache entries.
 func Pass(ctx context.Context, cfg config.Config, bench workload.Benchmark, specs []tlb.Spec, o *obs.Observer) (*machine.Machine, *workload.Program, sim.Result, error) {
 	// Request-scoped tracing: when a service request's span rides the
 	// context, the pass's phases nest under it (all no-ops otherwise).
@@ -154,15 +139,10 @@ func ObservePassConfig(cfg config.Config, sch config.Scheme) config.Config {
 }
 
 // ObserveScheme runs one benchmark under one scheme with the full paper
-// observer grid attached.
-func ObserveScheme(cfg config.Config, bench workload.Benchmark, sch config.Scheme) (SchemePass, error) {
-	return ObserveSchemeCtx(context.Background(), cfg, bench, sch)
-}
-
-// ObserveSchemeCtx is ObserveScheme under a runner context (cancellation,
-// deadline, watchdog budget).
-func ObserveSchemeCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme) (SchemePass, error) {
-	m, _, err := runPassCtx(ctx, ObservePassConfig(cfg, sch), bench, tlb.PaperSpecs(), nil)
+// observer grid attached, under ctx (cancellation, deadline, watchdog
+// budget).
+func ObserveScheme(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme) (SchemePass, error) {
+	m, _, _, err := Pass(ctx, ObservePassConfig(cfg, sch), bench, tlb.PaperSpecs(), nil)
 	if err != nil {
 		return SchemePass{}, err
 	}
@@ -205,7 +185,7 @@ func AssembleObserved(benchmark string, passes map[config.Scheme]SchemePass) *Ob
 func Observe(cfg config.Config, bench workload.Benchmark) (*Observed, error) {
 	passes := make(map[config.Scheme]SchemePass)
 	for _, sch := range config.Schemes() {
-		pass, err := ObserveScheme(cfg, bench, sch)
+		pass, err := ObserveScheme(context.Background(), cfg, bench, sch)
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ func (p *Plan) AddObserve(name string) error {
 			fmt.Sprintf("observe/%s/%v", name, sch),
 			p.key("observe", ObservePassConfig(p.cfg, sch), name),
 			func(ctx context.Context) (SchemePass, error) {
-				return ObserveSchemeCtx(ctx, p.cfg, bench, sch)
+				return ObserveScheme(ctx, p.cfg, bench, sch)
 			}))
 	}
 	return nil
@@ -102,7 +102,7 @@ func (p *Plan) AddTable4(name string) error {
 			func(ctx context.Context) (Breakdown, error) {
 				// The label is stamped at assembly so cells can share
 				// cache entries with identically configured passes.
-				return TimedCtx(ctx, cellCfg, bench, "")
+				return Timed(ctx, cellCfg, bench, "")
 			}))
 	}
 	return nil
@@ -129,7 +129,7 @@ func (p *Plan) AddFigure10(name string) error {
 			fmt.Sprintf("fig10/%s/%s", name, v.Label),
 			p.key("timed", v.Cfg, name, extra...),
 			func(ctx context.Context) (Breakdown, error) {
-				return TimedCtx(ctx, v.Cfg, v.Bench, "")
+				return Timed(ctx, v.Cfg, v.Bench, "")
 			}))
 	}
 	p.fig10Labels[name] = labels
@@ -165,7 +165,7 @@ func (p *Plan) AddMgmt(name string, samplePages int) error {
 			fmt.Sprintf("mgmt/%s/%v", name, sch),
 			p.key("mgmt", p.cfg.WithScheme(sch).WithTLB(64, config.FullyAssoc), name, samplePages),
 			func(ctx context.Context) (MgmtRow, error) {
-				return MgmtStudySchemeCtx(ctx, p.cfg, bench, sch, samplePages)
+				return MgmtStudyScheme(ctx, p.cfg, bench, sch, samplePages)
 			}))
 	}
 	return nil
@@ -183,7 +183,7 @@ func (p *Plan) AddAblation(name string) error {
 			fmt.Sprintf("ablation/%s/%s", name, v.Label),
 			p.key("ablation", v.Cfg, name, v.Label),
 			func(ctx context.Context) (AblationRow, error) {
-				return AblationRunCtx(ctx, v, bench)
+				return AblationRun(ctx, v, bench)
 			}))
 	}
 	return nil
@@ -202,7 +202,7 @@ func (p *Plan) AddDLBOrg(name string, sizes []int) error {
 				fmt.Sprintf("dlborg/%s/%v/%d", name, org, size),
 				p.key("dlborg", p.cfg.WithScheme(config.VCOMA).WithTLB(size, org), name),
 				func(ctx context.Context) (uint64, error) {
-					return DLBOrgCellCtx(ctx, p.cfg, bench, size, org)
+					return DLBOrgCell(ctx, p.cfg, bench, size, org)
 				}))
 		}
 	}

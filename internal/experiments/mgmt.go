@@ -32,16 +32,11 @@ type MgmtRow struct {
 // MgmtStudyScheme warms one scheme's machine with the benchmark, then
 // changes protection on — and afterwards unmaps — a sample of the
 // workload's pages, reporting mean costs. It is the per-scheme pass the
-// experiment runner schedules and caches.
-func MgmtStudyScheme(cfg config.Config, bench workload.Benchmark, sch config.Scheme, samplePages int) (MgmtRow, error) {
-	return MgmtStudySchemeCtx(context.Background(), cfg, bench, sch, samplePages)
-}
-
-// MgmtStudySchemeCtx is MgmtStudyScheme under a runner context
-// (cancellation, deadline, watchdog budget).
-func MgmtStudySchemeCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme, samplePages int) (MgmtRow, error) {
+// experiment runner schedules and caches, bounded by ctx (cancellation,
+// deadline, watchdog budget).
+func MgmtStudyScheme(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme, samplePages int) (MgmtRow, error) {
 	c := cfg.WithScheme(sch).WithTLB(64, config.FullyAssoc)
-	m, _, err := runPassCtx(ctx, c, bench, nil, nil)
+	m, _, _, err := Pass(ctx, c, bench, nil, nil)
 	if err != nil {
 		return MgmtRow{}, err
 	}
@@ -92,7 +87,7 @@ func MgmtStudySchemeCtx(ctx context.Context, cfg config.Config, bench workload.B
 func MgmtStudy(cfg config.Config, bench workload.Benchmark, samplePages int) ([]MgmtRow, error) {
 	var rows []MgmtRow
 	for _, sch := range config.Schemes() {
-		row, err := MgmtStudyScheme(cfg, bench, sch, samplePages)
+		row, err := MgmtStudyScheme(context.Background(), cfg, bench, sch, samplePages)
 		if err != nil {
 			return nil, err
 		}

@@ -89,12 +89,12 @@ func RunSummaryOf(cfg config.Config, benchName string, scale workload.Scale, lay
 	return sum
 }
 
-// SimulateCtx runs one benchmark on one exact configuration under a runner
+// Simulate runs one benchmark on one exact configuration under a runner
 // context — cancellation and deadline abort the pass, any WithBudget
 // watchdog budget is armed, and a runner-installed observability sink
 // instruments the run — and returns its machine-readable summary. This is
 // the pass behind every vcoma-serve job.
-func SimulateCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, scale workload.Scale) (report.RunSummary, error) {
+func Simulate(ctx context.Context, cfg config.Config, bench workload.Benchmark, scale workload.Scale) (report.RunSummary, error) {
 	m, prog, res, err := Pass(ctx, cfg, bench, nil, runner.ObserverFrom(ctx))
 	if err != nil {
 		return report.RunSummary{}, err

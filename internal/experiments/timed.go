@@ -17,18 +17,14 @@ import (
 // entries and vcoma-sim -json output serialize identically.
 type Breakdown = report.Breakdown
 
-// Timed runs one exact configuration and returns its breakdown.
-func Timed(cfg config.Config, bench workload.Benchmark, label string) (Breakdown, error) {
-	return TimedCtx(context.Background(), cfg, bench, label)
-}
-
-// TimedCtx is Timed under a runner context: the pass is bounded by ctx
-// (cancellation, deadline, WithBudget watchdog budget), and when the
-// context carries an observability sink (runner.Options.Metrics) it is
-// instrumented and the runner persists its time series next to the job's
-// cache entry. The breakdown itself is identical either way.
-func TimedCtx(ctx context.Context, cfg config.Config, bench workload.Benchmark, label string) (Breakdown, error) {
-	_, res, err := runPassCtx(ctx, cfg, bench, nil, runner.ObserverFrom(ctx))
+// Timed runs one exact configuration and returns its breakdown. The pass
+// is bounded by ctx (cancellation, deadline, WithBudget watchdog budget),
+// and when the context carries an observability sink
+// (runner.Options.Metrics) it is instrumented and the runner persists its
+// time series next to the job's cache entry. The breakdown itself is
+// identical either way.
+func Timed(ctx context.Context, cfg config.Config, bench workload.Benchmark, label string) (Breakdown, error) {
+	_, _, res, err := Pass(ctx, cfg, bench, nil, runner.ObserverFrom(ctx))
 	if err != nil {
 		return Breakdown{}, err
 	}
@@ -104,7 +100,7 @@ func table4FromBreakdowns(bench string, cells map[string]Breakdown) Table4Row {
 func Table4(cfg config.Config, bench workload.Benchmark) (Table4Row, error) {
 	cells := make(map[string]Breakdown)
 	for _, c := range table4Cells() {
-		b, err := Timed(cfg.WithScheme(c.Scheme).WithTLB(c.Size, config.FullyAssoc), bench, "")
+		b, err := Timed(context.Background(), cfg.WithScheme(c.Scheme).WithTLB(c.Size, config.FullyAssoc), bench, "")
 		if err != nil {
 			return Table4Row{}, err
 		}
@@ -170,7 +166,7 @@ func Figure10(cfg config.Config, name string, scale workload.Scale) (Figure10Res
 	}
 	r := Figure10Result{Benchmark: name}
 	for _, v := range variants {
-		b, err := Timed(v.Cfg, v.Bench, v.Label)
+		b, err := Timed(context.Background(), v.Cfg, v.Bench, v.Label)
 		if err != nil {
 			return Figure10Result{}, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ func testCfg() config.Config {
 
 func TestTimedBreakdownSumsToExecScale(t *testing.T) {
 	bench, _ := workload.ByName("RADIX", workload.ScaleTest)
-	b, err := Timed(testCfg().WithScheme(config.VCOMA), bench, "x")
+	b, err := Timed(context.Background(), testCfg().WithScheme(config.VCOMA), bench, "x")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,6 +39,8 @@ type Options struct {
 	// Every checks only each Every'th prefix (plus the empty and full
 	// prefixes, always). 0 or 1 = every prefix.
 	Every int
+	// From skips every prefix shorter than From ops, the empty one too.
+	From int
 }
 
 // Run sweeps every prefix of ops × every crash-state variant, materializes
@@ -58,7 +60,7 @@ func RunOpts(ops []fsio.Op, scratch string, check CheckFunc, opts Options) error
 	seen := make(map[string]bool) // dedupe identical materialized states
 	n := 0
 	for k := 0; k <= len(ops); k++ {
-		if k%every != 0 && k != len(ops) {
+		if k < opts.From || k%every != 0 && k != len(ops) {
 			continue
 		}
 		st := replay(ops[:k])

@@ -2,6 +2,7 @@ package fsio
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,8 +103,8 @@ func ParseFailpoints(spec string) (*Failpoints, error) {
 				return nil, bad(part, "want powercut:n")
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, bad(part, "n must be a non-negative integer")
+			if err != nil || n < 0 || n == math.MaxInt {
+				return nil, bad(part, "n must be a non-negative integer below the int maximum")
 			}
 			fp.cutAfter = n + 1 // trip on op n+1
 		default:

@@ -407,9 +407,6 @@ func (a *AppendFile) Close() error {
 	return a.f.Close()
 }
 
-// Path returns the file's path.
-func (a *AppendFile) Path() string { return a.path }
-
 // FaultError is an injected failure. It unwraps to the underlying errno
 // (syscall.ENOSPC, syscall.EIO, or ErrPowerCut), so errors.Is sees exactly
 // what a real bad disk would produce.

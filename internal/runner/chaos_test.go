@@ -185,7 +185,7 @@ func TestChaosCancelThenResumeByteIdentical(t *testing.T) {
 	jobs, _ := mkJobs()
 	plan := PlanKey(jobs)
 	jpath := filepath.Join(dir, "journal.json")
-	jl, err := CreateJournal(jpath, plan, len(jobs))
+	jl, err := CreateJournal(jpath, plan, len(jobs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestChaosCancelThenResumeByteIdentical(t *testing.T) {
 	if pk := PlanKey(jobs2); pk != plan {
 		t.Fatal("re-enumerated plan hashes differently")
 	}
-	jl2, prev, err := ResumeJournal(jpath, plan)
+	jl2, prev, err := ResumeJournal(jpath, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,9 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 		t.Fatalf("OpenCacheFS: %v", err)
 	}
 	jpath := filepath.Join(root, "journal.json")
-	j, err := CreateJournalFS(jpath, plan, len(jobs), fs)
+	j, err := CreateJournal(jpath, plan, len(jobs), fs)
 	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
+		t.Fatalf("CreateJournal: %v", err)
 	}
 	if _, err := Run(context.Background(), crashPlanJobs(), Options{Workers: 1, Cache: c, Journal: j}); err != nil {
 		t.Fatalf("recorded run: %v", err)
@@ -159,9 +159,9 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 		jp := filepath.Join(dir, "journal.json")
 		// Resume like vcoma-sweep -resume would; any unusable journal
 		// (absent, empty, torn header) means starting fresh.
-		rj, _, rerr := ResumeJournal(jp, plan)
+		rj, _, rerr := ResumeJournal(jp, plan, nil)
 		if rerr != nil {
-			if rj, rerr = CreateJournal(jp, plan, len(jobs)); rerr != nil {
+			if rj, rerr = CreateJournal(jp, plan, len(jobs), nil); rerr != nil {
 				return rerr
 			}
 		}

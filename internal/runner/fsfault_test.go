@@ -133,9 +133,9 @@ func TestTornJournalAppendIsDroppedOnResume(t *testing.T) {
 	// Header (append 1) lands whole; the first record (append 2) tears
 	// after 5 bytes.
 	fs := fsio.New(nil)
-	j, err := CreateJournalFS(jpath, plan, 2, fs)
+	j, err := CreateJournal(jpath, plan, 2, fs)
 	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
+		t.Fatalf("CreateJournal: %v", err)
 	}
 	fs.SetFailpoints(fsio.MustFailpoints("torn:journal:5"))
 	j.record(Result{Name: "jobs/one", Attempts: 1})
@@ -145,9 +145,9 @@ func TestTornJournalAppendIsDroppedOnResume(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	_, entries, err := ResumeJournalFS(jpath, plan, nil)
+	_, entries, err := ResumeJournal(jpath, plan, nil)
 	if err != nil {
-		t.Fatalf("ResumeJournalFS: %v", err)
+		t.Fatalf("ResumeJournal: %v", err)
 	}
 	if _, ok := entries["jobs/one"]; ok {
 		t.Fatalf("torn record for jobs/one must not resume: %+v", entries)
@@ -164,17 +164,17 @@ func TestJournalAppendsAfterPowerCutDoNotCorruptEarlierRecords(t *testing.T) {
 	// Header: open+append+fsync = 3 ops; first record: append+fsync = 2.
 	// Cut the power right after (op 5), so the second record never lands.
 	fs := fsio.New(fsio.MustFailpoints("powercut:5"))
-	j, err := CreateJournalFS(jpath, plan, 2, fs)
+	j, err := CreateJournal(jpath, plan, 2, fs)
 	if err != nil {
-		t.Fatalf("CreateJournalFS: %v", err)
+		t.Fatalf("CreateJournal: %v", err)
 	}
 	j.record(Result{Name: "jobs/one", Attempts: 1})
 	j.record(Result{Name: "jobs/two", Attempts: 1}) // power is off; swallowed
 	j.Close()
 
-	_, entries, err := ResumeJournalFS(jpath, plan, nil)
+	_, entries, err := ResumeJournal(jpath, plan, nil)
 	if err != nil {
-		t.Fatalf("ResumeJournalFS: %v", err)
+		t.Fatalf("ResumeJournal: %v", err)
 	}
 	if len(entries) != 1 {
 		t.Fatalf("entries after power cut = %+v, want only jobs/one", entries)

@@ -1,11 +1,11 @@
 package runner
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"sync"
 
 	"vcoma/internal/fsio"
@@ -13,6 +13,9 @@ import (
 
 // journalSchema versions the journal file format.
 const journalSchema = "vcoma-journal-v1"
+
+// journalName is the sweep journal's file name inside a cache directory.
+const journalName = "journal.json"
 
 // Journal is an append-only record of a suite run, written next to the
 // result cache. Each completed job appends one line, synced to disk, so a
@@ -24,16 +27,11 @@ const journalSchema = "vcoma-journal-v1"
 // content-addressed cache supplies the already-computed results.
 type Journal struct {
 	path string
-	plan Key
 	fs   *fsio.FS
 
 	mu      sync.Mutex
-	f       *fsio.AppendFile
+	log     *fsio.Log // nil once closed
 	entries map[string]JournalEntry
-	// tainted records that the previous append failed and may have left
-	// partial bytes at the tail; the next append starts a fresh line so a
-	// good record never glues onto a torn one.
-	tainted bool
 }
 
 // journalHeader is the first line of the file.
@@ -56,71 +54,61 @@ type JournalEntry struct {
 	Cached   bool   `json:"cached,omitempty"`
 }
 
-// CreateJournal starts a fresh journal at path for a plan of total jobs,
-// truncating any previous (crashed) journal.
-func CreateJournal(path string, plan Key, total int) (*Journal, error) {
-	return CreateJournalFS(path, plan, total, nil)
+// SweepJournal opens the journal of a sweep over jobs whose results live in
+// cacheDir. With resume it reopens the interrupted run's journal and tells w
+// how many passes it records; otherwise it starts a fresh one.
+func SweepJournal(cacheDir string, jobs []Job, resume bool, fs *fsio.FS, w io.Writer) (*Journal, error) {
+	path := filepath.Join(cacheDir, journalName)
+	if !resume {
+		return CreateJournal(path, PlanKey(jobs), len(jobs), fs)
+	}
+	j, prev, err := ResumeJournal(path, PlanKey(jobs), fs)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "resuming: journal records %d finished pass(es); cached results satisfy them without recomputing\n", len(prev))
+	return j, nil
 }
 
-// CreateJournalFS is CreateJournal through an explicit filesystem seam (nil
-// = plain durable I/O), so journal appends and syncs are fault-injectable.
-func CreateJournalFS(path string, plan Key, total int, fs *fsio.FS) (*Journal, error) {
-	f, err := fs.Create("journal", path)
+// CreateJournal starts a fresh journal at path for a plan of total jobs,
+// truncating any previous (crashed) journal. Appends and syncs go through
+// fs (nil = plain durable I/O), so they are fault-injectable.
+func CreateJournal(path string, plan Key, total int, fs *fsio.FS) (*Journal, error) {
+	log, err := fs.CreateLog("journal", path, journalHeader{Schema: journalSchema, Plan: plan, Jobs: total})
 	if err != nil {
 		return nil, fmt.Errorf("runner: creating journal: %w", err)
 	}
-	j := &Journal{path: path, plan: plan, fs: fs, f: f, entries: make(map[string]JournalEntry)}
-	if err := j.append(journalHeader{Schema: journalSchema, Plan: plan, Jobs: total}); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return j, nil
+	return &Journal{path: path, fs: fs, log: log, entries: make(map[string]JournalEntry)}, nil
 }
 
 // ResumeJournal reopens an interrupted run's journal at path, verifying it
 // belongs to the same plan. It returns the journal (reopened for append)
 // and the entries already recorded. A missing file is an error: there is
 // nothing to resume.
-func ResumeJournal(path string, plan Key) (*Journal, map[string]JournalEntry, error) {
-	return ResumeJournalFS(path, plan, nil)
-}
-
-// ResumeJournalFS is ResumeJournal through an explicit filesystem seam.
-func ResumeJournalFS(path string, plan Key, fs *fsio.FS) (*Journal, map[string]JournalEntry, error) {
-	data, err := fs.ReadFile("journal", path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil, fmt.Errorf("runner: no journal at %s: nothing to resume (the previous run completed, or never started)", path)
-		}
-		return nil, nil, fmt.Errorf("runner: reading journal: %w", err)
-	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	if !sc.Scan() {
-		return nil, nil, fmt.Errorf("runner: journal %s is empty", path)
-	}
+func ResumeJournal(path string, plan Key, fs *fsio.FS) (*Journal, map[string]JournalEntry, error) {
 	var h journalHeader
-	if err := json.Unmarshal(sc.Bytes(), &h); err != nil || h.Schema != journalSchema {
+	recs, err := fsio.ReadLog[JournalEntry](fs, "journal", path, &h)
+	switch {
+	case os.IsNotExist(err):
+		return nil, nil, fmt.Errorf("runner: no journal at %s: nothing to resume (the previous run completed, or never started)", path)
+	case errors.Is(err, fsio.ErrNoHeader), err == nil && h.Schema != journalSchema:
 		return nil, nil, fmt.Errorf("runner: journal %s has an unrecognized header", path)
-	}
-	if h.Plan != plan {
+	case err != nil:
+		return nil, nil, fmt.Errorf("runner: reading journal: %w", err)
+	case h.Plan != plan:
 		return nil, nil, fmt.Errorf("runner: journal %s records a different sweep (plan %.16s…, this run is %.16s…) — rerun with the original flags, or start fresh without -resume", path, h.Plan, plan)
 	}
 	entries := make(map[string]JournalEntry)
-	for sc.Scan() {
-		var e JournalEntry
-		// A torn final line (the crash point) is expected; skip it.
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil || e.Job == "" {
-			continue
+	for _, e := range recs {
+		if e.Job != "" {
+			entries[e.Job] = e
 		}
-		entries[e.Job] = e
 	}
-	f, err := fs.OpenAppend("journal", path)
+	log, err := fs.OpenLog("journal", path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("runner: reopening journal: %w", err)
 	}
-	j := &Journal{path: path, plan: plan, fs: fs, f: f, entries: entries}
-	return j, entries, nil
+	return &Journal{path: path, fs: fs, log: log, entries: entries}, entries, nil
 }
 
 // record appends one job completion and syncs it to disk.
@@ -133,79 +121,41 @@ func (j *Journal) record(r Result) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return
 	}
 	j.entries[r.Name] = e
-	_ = j.appendLocked(e)
-}
-
-func (j *Journal) append(v any) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appendLocked(v)
-}
-
-func (j *Journal) appendLocked(v any) error {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	line := append(data, '\n')
-	if j.tainted {
-		// The previous append may have torn mid-line; open a new line so
-		// this record stays parseable (the orphaned fragment line is
-		// skipped on resume like any torn line).
-		line = append([]byte{'\n'}, line...)
-	}
-	if err := j.f.Append(line); err != nil {
-		j.tainted = true
-		return err
-	}
-	j.tainted = false
-	// Sync each record: the journal exists precisely for the crash case.
-	return j.f.Sync()
+	_ = j.log.Append(e)
 }
 
 // Done counts jobs recorded as done (succeeded).
-func (j *Journal) Done() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	n := 0
-	for _, e := range j.entries {
-		if e.Status == "done" {
-			n++
-		}
-	}
-	return n
-}
+func (j *Journal) Done() int { return j.count("done") }
 
 // Failed counts jobs recorded as failed.
-func (j *Journal) Failed() int {
+func (j *Journal) Failed() int { return j.count("failed") }
+
+func (j *Journal) count(status string) int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	n := 0
 	for _, e := range j.entries {
-		if e.Status == "failed" {
+		if e.Status == status {
 			n++
 		}
 	}
 	return n
 }
 
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
-
-// Close flushes and closes the journal, leaving the file in place (an
-// interrupted run keeps its journal so -resume can find it).
+// Close closes the journal, leaving the file in place (an interrupted run
+// keeps its journal so -resume can find it).
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.log == nil {
 		return nil
 	}
-	err := j.f.Close()
-	j.f = nil
+	err := j.log.Close()
+	j.log = nil
 	return err
 }
 

@@ -12,7 +12,7 @@ import (
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
 	plan := KeyOf("plan-a")
-	j, err := CreateJournal(path, plan, 3)
+	j, err := CreateJournal(path, plan, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, entries, err := ResumeJournal(path, plan)
+	j2, entries, err := ResumeJournal(path, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,18 +49,18 @@ func TestJournalRoundTrip(t *testing.T) {
 
 func TestJournalResumeRejectsDifferentPlan(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
-	j, err := CreateJournal(path, KeyOf("plan-a"), 1)
+	j, err := CreateJournal(path, KeyOf("plan-a"), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
-	if _, _, err := ResumeJournal(path, KeyOf("plan-b")); err == nil {
+	if _, _, err := ResumeJournal(path, KeyOf("plan-b"), nil); err == nil {
 		t.Fatal("resume against a different plan must fail")
 	}
 }
 
 func TestJournalResumeMissingFile(t *testing.T) {
-	if _, _, err := ResumeJournal(filepath.Join(t.TempDir(), "nope.json"), KeyOf("p")); err == nil {
+	if _, _, err := ResumeJournal(filepath.Join(t.TempDir(), "nope.json"), KeyOf("p"), nil); err == nil {
 		t.Fatal("resume without a journal must fail: there is nothing to resume")
 	}
 }
@@ -68,7 +68,7 @@ func TestJournalResumeMissingFile(t *testing.T) {
 func TestJournalSkipsTornFinalLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
 	plan := KeyOf("plan-a")
-	j, err := CreateJournal(path, plan, 2)
+	j, err := CreateJournal(path, plan, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestJournalSkipsTornFinalLine(t *testing.T) {
 	f.WriteString(`{"job":"b","stat`)
 	f.Close()
 
-	j2, entries, err := ResumeJournal(path, plan)
+	j2, entries, err := ResumeJournal(path, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestJournalSkipsTornFinalLine(t *testing.T) {
 
 func TestJournalCompleteRemovesFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
-	j, err := CreateJournal(path, KeyOf("p"), 1)
+	j, err := CreateJournal(path, KeyOf("p"), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestRunRecordsJournal(t *testing.T) {
 		constJob("ok", 1),
 		job("bad", func(context.Context) (int, error) { return 0, errors.New("boom") }),
 	}
-	jl, err := CreateJournal(path, PlanKey(jobs), len(jobs))
+	jl, err := CreateJournal(path, PlanKey(jobs), len(jobs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRunRecordsJournal(t *testing.T) {
 		t.Fatal("want run error")
 	}
 	jl.Close()
-	_, entries, err := ResumeJournal(path, PlanKey(jobs))
+	_, entries, err := ResumeJournal(path, PlanKey(jobs), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,9 +25,9 @@ func TestCrashSweepAcceptJournal(t *testing.T) {
 	fs := fsio.New(nil)
 	rec := fsio.NewRecorder(root, true)
 	fs.SetRecorder(rec)
-	j, pending, err := OpenJournalFS(root, fs)
+	j, pending, err := OpenJournal(root, fs)
 	if err != nil {
-		t.Fatalf("OpenJournalFS: %v", err)
+		t.Fatalf("OpenJournal: %v", err)
 	}
 	if len(pending) != 0 {
 		t.Fatalf("fresh journal replayed %d pending", len(pending))
@@ -46,10 +46,10 @@ func TestCrashSweepAcceptJournal(t *testing.T) {
 	spec0, _ := reqs[0].Resolve()
 	spec1, _ := reqs[1].Resolve()
 	spec2, _ := reqs[2].Resolve()
-	if err := j.Done(spec0.Key()); err != nil {
+	if err := j.Retire(spec0.Key(), "done"); err != nil {
 		t.Fatalf("Done: %v", err)
 	}
-	if err := j.Cancel(spec1.Key()); err != nil {
+	if err := j.Retire(spec1.Key(), "cancel"); err != nil {
 		t.Fatalf("Cancel: %v", err)
 	}
 	if err := j.Close(); err != nil {
@@ -57,7 +57,7 @@ func TestCrashSweepAcceptJournal(t *testing.T) {
 	}
 
 	err = crashsim.Run(rec.Ops(), t.TempDir(), func(dir string) error {
-		jj, pend, err := OpenJournal(dir)
+		jj, pend, err := OpenJournal(dir, nil)
 		if err != nil {
 			return fmt.Errorf("reopen: %w", err)
 		}
@@ -77,7 +77,7 @@ func TestCrashSweepAcceptJournal(t *testing.T) {
 			seen[sp.Key()] = true
 		}
 		// Idempotence: reopening the compacted journal replays the same set.
-		jj2, pend2, err := OpenJournal(dir)
+		jj2, pend2, err := OpenJournal(dir, nil)
 		if err != nil {
 			return fmt.Errorf("second reopen: %w", err)
 		}
@@ -92,7 +92,7 @@ func TestCrashSweepAcceptJournal(t *testing.T) {
 	}
 
 	// The full, uninterrupted state must replay exactly the unretired accept.
-	_, pend, err := OpenJournal(root)
+	_, pend, err := OpenJournal(root, nil)
 	if err != nil {
 		t.Fatalf("final reopen: %v", err)
 	}

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,67 +33,37 @@ type journalRecord struct {
 // reaches a terminal state. On restart the pending set — accepted but not
 // retired — is re-enqueued, so a SIGTERM'd server picks its backlog back up
 // and, because results are content-addressed, serves byte-identical
-// artifacts for them. A torn final line (crash mid-write) is tolerated and
-// dropped, like the runner journal.
+// artifacts for them. Torn lines (crash or failed write mid-record) are
+// skipped wherever they sit, like the runner journal.
 type Journal struct {
-	path string
-	fs   *fsio.FS
-	f    *fsio.AppendFile
-	// tainted records that the previous append may have left partial bytes
-	// at the tail; the next append starts a fresh line so a good record
-	// never glues onto a torn one.
-	tainted bool
+	log *fsio.Log
 }
 
-// OpenJournal opens (creating if needed) the accept log in stateDir,
-// returning the journal and the pending requests replayed from any previous
-// incarnation. The log is compacted on open: retired records are dropped
-// and only the pending accepts are rewritten.
-func OpenJournal(stateDir string) (*Journal, []Request, error) {
-	return OpenJournalFS(stateDir, nil)
-}
-
-// OpenJournalFS is OpenJournal through an explicit filesystem seam (nil =
-// plain durable I/O), so accept-log appends, fsyncs and the compaction
-// rename are fault-injectable and op-traced.
-func OpenJournalFS(stateDir string, fs *fsio.FS) (*Journal, []Request, error) {
+// OpenJournal opens (creating if needed) the accept log in stateDir through
+// fs (nil = plain durable I/O), returning the journal and the pending
+// requests replayed from any previous incarnation. The log is compacted on
+// open: retired records are dropped and only the pending accepts are
+// rewritten.
+func OpenJournal(stateDir string, fs *fsio.FS) (*Journal, []Request, error) {
 	if err := fs.MkdirAll("journal", stateDir); err != nil {
 		return nil, nil, fmt.Errorf("serve: opening journal: %w", err)
 	}
 	path := filepath.Join(stateDir, journalName)
-	pending, err := replay(path)
+	pending, err := replay(fs, path)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Compact: rewrite header + pending accepts as one atomic, durable
-	// replacement (fsio fsyncs the temp before the rename and the state dir
-	// after it — the dir sync the old hand-rolled compaction was missing),
-	// then reopen for appending.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(journalRecord{Schema: journalSchema}); err != nil {
-		return nil, nil, err
-	}
+	var accepts []any
 	for i := range pending {
-		req := pending[i]
-		key, ok := keyOf(req)
-		if !ok {
-			continue
-		}
-		if err := enc.Encode(journalRecord{Op: "accept", Key: key, Req: &req}); err != nil {
-			return nil, nil, err
+		if key, ok := keyOf(pending[i]); ok {
+			accepts = append(accepts, journalRecord{Op: "accept", Key: key, Req: &pending[i]})
 		}
 	}
-	if err := fs.WriteFileAtomic("journal", path, buf.Bytes()); err != nil {
-		return nil, nil, err
-	}
-
-	f, err := fs.OpenAppend("journal", path)
+	log, err := fs.RewriteLog("journal", path, journalRecord{Schema: journalSchema}, accepts)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &Journal{path: path, fs: fs, f: f}, pending, nil
+	return &Journal{log: log}, pending, nil
 }
 
 // keyOf resolves a journaled request to its job key; requests that no
@@ -110,48 +78,24 @@ func keyOf(r Request) (runner.Key, bool) {
 
 // replay reads the log and returns the pending (accepted, not retired)
 // requests in accept order. One request per key — coalesced waiters are
-// HTTP connections, which do not survive a restart.
-func replay(path string) ([]Request, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
+// HTTP connections, which do not survive a restart. A missing log, or one
+// without a readable header of this schema, replays nothing.
+func replay(fs *fsio.FS, path string) ([]Request, error) {
+	var h journalRecord
+	recs, err := fsio.ReadLog[journalRecord](fs, "journal", path, &h)
+	if os.IsNotExist(err) || errors.Is(err, fsio.ErrNoHeader) || err == nil && h.Schema != journalSchema {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
 	type slot struct {
 		req   Request
 		alive bool
 	}
 	byKey := map[runner.Key]*slot{}
 	var order []runner.Key
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	first := true
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn final line is expected after a crash; drop it. A torn
-			// line anywhere else means everything after it is suspect, so
-			// stop replaying there too.
-			break
-		}
-		if first {
-			first = false
-			if rec.Schema != "" {
-				if rec.Schema != journalSchema {
-					// Foreign schema: start fresh rather than misread it.
-					return nil, nil
-				}
-				continue
-			}
-		}
+	for _, rec := range recs {
 		switch rec.Op {
 		case "accept":
 			if rec.Req == nil || rec.Key == "" {
@@ -183,20 +127,7 @@ func (j *Journal) record(rec journalRecord) error {
 	if j == nil {
 		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	line := append(data, '\n')
-	if j.tainted {
-		line = append([]byte{'\n'}, line...)
-	}
-	if err := j.f.Append(line); err != nil {
-		j.tainted = true
-		return err
-	}
-	j.tainted = false
-	return j.f.Sync()
+	return j.log.Append(rec)
 }
 
 // Accept records an admitted job before its 202 is sent.
@@ -204,20 +135,11 @@ func (j *Journal) Accept(key runner.Key, req Request) error {
 	return j.record(journalRecord{Op: "accept", Key: key, Req: &req})
 }
 
-// Done retires a job that finished with its artifact stored.
-func (j *Journal) Done(key runner.Key) error {
-	return j.record(journalRecord{Op: "done", Key: key})
-}
-
-// Fail retires a job that errored (it is not re-run on restart; the client
-// saw the failure).
-func (j *Journal) Fail(key runner.Key) error {
-	return j.record(journalRecord{Op: "fail", Key: key})
-}
-
-// Cancel retires a job every waiter abandoned.
-func (j *Journal) Cancel(key runner.Key) error {
-	return j.record(journalRecord{Op: "cancel", Key: key})
+// Retire records a job's terminal state: op is "done" (artifact stored),
+// "fail" (errored; the client saw the failure, so it is not re-run on
+// restart) or "cancel" (every waiter abandoned it).
+func (j *Journal) Retire(key runner.Key, op string) error {
+	return j.record(journalRecord{Op: op, Key: key})
 }
 
 // Close closes the log file.
@@ -225,5 +147,5 @@ func (j *Journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	return j.f.Close()
+	return j.log.Close()
 }

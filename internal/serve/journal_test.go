@@ -5,11 +5,13 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"vcoma/internal/fsio"
 )
 
 func TestJournalReplayPendingOnly(t *testing.T) {
 	dir := t.TempDir()
-	j, pending, err := OpenJournal(dir)
+	j, pending, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,17 +31,17 @@ func TestJournalReplayPendingOnly(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Done(k1); err != nil {
+	if err := j.Retire(k1, "done"); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Cancel(k3); err != nil {
+	if err := j.Retire(k3, "cancel"); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	_, pending, err = OpenJournal(dir)
+	_, pending, err = OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestJournalReplayPendingOnly(t *testing.T) {
 
 func TestJournalCompactsOnOpen(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +63,14 @@ func TestJournalCompactsOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%2 == 0 {
-			if err := j.Done(k); err != nil {
+			if err := j.Retire(k, "done"); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	j.Close()
 
-	j2, pending, err := OpenJournal(dir)
+	j2, pending, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +91,7 @@ func TestJournalCompactsOnOpen(t *testing.T) {
 
 func TestJournalToleratesTornFinalLine(t *testing.T) {
 	dir := t.TempDir()
-	j, _, err := OpenJournal(dir)
+	j, _, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,12 +113,46 @@ func TestJournalToleratesTornFinalLine(t *testing.T) {
 	}
 	f.Close()
 
-	j2, pending, err := OpenJournal(dir)
+	j2, pending, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatalf("torn line broke replay: %v", err)
 	}
 	defer j2.Close()
 	if len(pending) != 1 {
 		t.Fatalf("pending=%d after torn line, want 1 (the accept still counts)", len(pending))
+	}
+}
+
+// An accept whose append tears must not take later accepts down with it:
+// the next record starts a fresh line, and replay skips the torn one and
+// keeps reading. The job whose client got its 202 stays pending.
+func TestJournalTornAcceptKeepsLaterAccepts(t *testing.T) {
+	dir := t.TempDir()
+	fs := fsio.New(nil)
+	j, _, err := OpenJournal(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1 := req("l0", "normal", "a", 1)
+	r2 := req("l1", "normal", "a", 2)
+	k1, _ := keyOf(r1)
+	k2, _ := keyOf(r2)
+	fs.SetFailpoints(fsio.MustFailpoints("torn:journal:7"))
+	if err := j.Accept(k1, r1); err == nil {
+		t.Fatal("torn accept reported success")
+	}
+	fs.SetFailpoints(nil)
+	if err := j.Accept(k2, r2); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, pending, err := OpenJournal(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(pending) != 1 || pending[0].Scheme != "l1" {
+		t.Fatalf("pending after a torn accept = %+v, want just the l1 request", pending)
 	}
 }

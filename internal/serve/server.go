@@ -85,8 +85,6 @@ type Server struct {
 	mem     *memResults
 	traces  *traceIndex
 
-	jmu sync.Mutex // serializes journal writes
-
 	// profiling guards the process-global CPU profiler: the Go runtime
 	// allows one profile at a time, so concurrent ?profile=cpu jobs race
 	// for the slot and losers run unprofiled.
@@ -141,7 +139,7 @@ func New(opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	journal, pending, err := OpenJournalFS(opts.StateDir, opts.FS)
+	journal, pending, err := OpenJournal(opts.StateDir, opts.FS)
 	if err != nil {
 		lock.Release()
 		return nil, err
@@ -207,20 +205,10 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// journalRetire writes a terminal journal record, serialized because the
-// queue, workers and handlers all retire jobs.
+// journalRetire writes a terminal journal record. The queue, workers and
+// handlers all retire jobs; the log serializes their appends.
 func (s *Server) journalRetire(key runner.Key, op string) {
-	s.jmu.Lock()
-	var err error
-	switch op {
-	case "done":
-		err = s.journal.Done(key)
-	case "fail":
-		err = s.journal.Fail(key)
-	default:
-		err = s.journal.Cancel(key)
-	}
-	s.jmu.Unlock()
+	err := s.journal.Retire(key, op)
 	s.noteWrite("journal", err)
 	if err != nil {
 		s.log.Warn("journal", "op", op, "job_key", string(key), "error", err.Error())
@@ -228,9 +216,7 @@ func (s *Server) journalRetire(key runner.Key, op string) {
 }
 
 func (s *Server) journalAccept(key runner.Key, req Request) error {
-	s.jmu.Lock()
 	err := s.journal.Accept(key, req)
-	s.jmu.Unlock()
 	s.noteWrite("journal", err)
 	return err
 }
@@ -339,7 +325,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 
 	rj := runner.New(spec.Name(), j.Key, func(c context.Context) (report.RunSummary, error) {
-		return experiments.SimulateCtx(experiments.WithBudget(c, s.opts.Budget), spec.Config, spec.Bench, spec.Scale)
+		return experiments.Simulate(experiments.WithBudget(c, s.opts.Budget), spec.Config, spec.Bench, spec.Scale)
 	})
 	jobs := []runner.Job{rj}
 	if s.opts.Chaos != nil {

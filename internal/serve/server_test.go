@@ -391,7 +391,7 @@ func TestServiceValidationAndIntrospection(t *testing.T) {
 	}
 	// Rejected requests never reach the accept journal.
 	stop()
-	j, pending, err := OpenJournal(dir)
+	j, pending, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func TestObsSpanInstrumentationIsObservational(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := experiments.SimulateCtx(context.Background(), benchConfig(), bench, ScaleTest)
+	plain, err := experiments.Simulate(context.Background(), benchConfig(), bench, ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestObsSpanInstrumentationIsObservational(t *testing.T) {
 	tr := obs.NewTrace(obs.NewTraceID())
 	root := tr.StartSpan("request")
 	ctx := obs.WithSpan(obs.WithTrace(context.Background(), tr), root)
-	traced, err := experiments.SimulateCtx(ctx, benchConfig(), bench, ScaleTest)
+	traced, err := experiments.Simulate(ctx, benchConfig(), bench, ScaleTest)
 	if err != nil {
 		t.Fatal(err)
 	}
