@@ -18,6 +18,7 @@ import (
 	"vcoma/internal/experiments"
 	"vcoma/internal/obs"
 	"vcoma/internal/prng"
+	"vcoma/internal/runner"
 	"vcoma/internal/tlb"
 	"vcoma/internal/trace"
 	"vcoma/internal/workload"
@@ -36,11 +37,26 @@ func mustBench(b *testing.B, name string) Benchmark {
 	return w
 }
 
+// runPlan enumerates passes with add on a fresh test-scale plan and runs
+// them through the runner, the path vcoma-report takes.
+func runPlan(b *testing.B, add func(p *experiments.Plan) error) *experiments.PlanResult {
+	b.Helper()
+	p := experiments.NewPlan(benchConfig(), ScaleTest)
+	if err := add(p); err != nil {
+		b.Fatal(err)
+	}
+	pr, err := p.Run(context.Background(), runner.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return pr
+}
+
 // observe runs the five scheme passes (the shared harness behind Figure 8,
 // Figure 9, Table 2 and Table 3).
 func observe(b *testing.B, name string) *experiments.Observed {
 	b.Helper()
-	obs, err := experiments.Observe(benchConfig(), mustBench(b, name))
+	obs, err := runPlan(b, func(p *experiments.Plan) error { return p.AddObserve(name) }).Observed(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -102,7 +118,7 @@ func BenchmarkTable4(b *testing.B) {
 	for _, name := range []string{"RADIX", "FMM"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				row, err := experiments.Table4(benchConfig(), mustBench(b, name))
+				row, err := runPlan(b, func(p *experiments.Plan) error { return p.AddTable4(name) }).Table4(name)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -119,7 +135,7 @@ func BenchmarkFigure10(b *testing.B) {
 	for _, name := range []string{"OCEAN", "RAYTRACE"} {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.Figure10(benchConfig(), name, ScaleTest)
+				r, err := runPlan(b, func(p *experiments.Plan) error { return p.AddFigure10(name) }).Figure10(name)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -70,12 +70,9 @@ func main() {
 
 	schemes := config.Schemes()
 	if *schemeStr != "all" {
-		s, ok := map[string]config.Scheme{
-			"l0": config.L0TLB, "l1": config.L1TLB, "l2": config.L2TLB,
-			"l3": config.L3TLB, "vcoma": config.VCOMA,
-		}[strings.ToLower(*schemeStr)]
-		if !ok {
-			fatal(fmt.Errorf("unknown scheme %q", *schemeStr))
+		s, err := config.ParseScheme(*schemeStr)
+		if err != nil {
+			fatal(err)
 		}
 		schemes = []config.Scheme{s}
 	}
@@ -169,11 +166,9 @@ func runDiff(w *fuzzgen.Workload, scanEvery uint64) error {
 }
 
 func checkBenchmark(name, scaleStr string, diff bool, scanEvery uint64) error {
-	scale, ok := map[string]workload.Scale{
-		"test": workload.ScaleTest, "small": workload.ScaleSmall, "paper": workload.ScalePaper,
-	}[strings.ToLower(scaleStr)]
-	if !ok {
-		return fmt.Errorf("unknown scale %q", scaleStr)
+	scale, err := workload.ParseScale(scaleStr)
+	if err != nil {
+		return err
 	}
 	bench, err := workload.ByName(strings.ToUpper(name), scale)
 	if err != nil {

@@ -1,6 +1,7 @@
-// Command vcoma-report runs the paper's complete evaluation — every table
-// and figure — and emits a Markdown report with paper-vs-measured numbers.
-// This is the tool that regenerates EXPERIMENTS.md.
+// Command vcoma-report runs the paper's evaluation — every table and
+// figure, or the sections -only selects — and emits a Markdown report with
+// paper-vs-measured numbers. This is the tool that regenerates
+// EXPERIMENTS.md.
 //
 // Passes run in parallel on a bounded worker pool (-jobs) with an on-disk
 // result cache (-cache, default .vcoma-cache); the rendered report is
@@ -12,6 +13,9 @@
 // continues an interrupted run from its journal.
 //
 //	vcoma-report -scale small -o EXPERIMENTS.md
+//	vcoma-report -only fig8 -bench RADIX -scale small
+//	vcoma-report -only table2,table3 -scale test
+//	vcoma-report -only ablation,dlborg -bench OCEAN -scale test
 //	vcoma-report -scale small -jobs 8 -progress-json progress.json
 //	vcoma-report -scale paper -job-timeout 15m -retries 2 -keep-going
 //	vcoma-report -scale paper -resume
@@ -47,6 +51,7 @@ func run() int {
 		scaleStr   = flag.String("scale", "small", "workload scale: test, small, paper")
 		outPath    = flag.String("o", "", "output file (default stdout)")
 		benchList  = flag.String("bench", "", "comma-separated benchmarks (default: all six)")
+		only       = flag.String("only", "", "comma-separated sections to run and render (default: all but ablation, dlborg): "+strings.Join(experiments.SectionIDs, ", "))
 		jobs       = flag.Int("jobs", 0, "parallel simulation jobs (0 = GOMAXPROCS)")
 		cacheDir   = flag.String("cache", ".vcoma-cache", "result cache directory")
 		noCache    = flag.Bool("no-cache", false, "disable the result cache")
@@ -90,16 +95,9 @@ func run() int {
 		return 0
 	}
 
-	var scale workload.Scale
-	switch strings.ToLower(*scaleStr) {
-	case "test":
-		scale = workload.ScaleTest
-	case "small":
-		scale = workload.ScaleSmall
-	case "paper":
-		scale = workload.ScalePaper
-	default:
-		return fatal(fmt.Errorf("unknown scale %q", *scaleStr))
+	scale, err := workload.ParseScale(*scaleStr)
+	if err != nil {
+		return fatal(err)
 	}
 
 	ctx, cancel := cli.SignalContext(context.Background(), "vcoma-report")
@@ -138,6 +136,15 @@ func run() int {
 			suite.Benchmarks = append(suite.Benchmarks, strings.ToUpper(strings.TrimSpace(n)))
 		}
 	}
+	if *only != "" {
+		suite.Only = strings.Split(*only, ",")
+	}
+	// Planning validates the benchmark and section names before the cache
+	// directory is touched.
+	plan, err := suite.Plan()
+	if err != nil {
+		return fatal(err)
+	}
 
 	if !*noCache {
 		// One writer per cache directory.
@@ -147,10 +154,6 @@ func run() int {
 		}
 		defer lock.Release()
 
-		plan, err := suite.Plan()
-		if err != nil {
-			return fatal(err)
-		}
 		if suite.Journal, err = runner.SweepJournal(*cacheDir, plan.Jobs(), *resume, fsys, os.Stderr); err != nil {
 			return fatal(err)
 		}

@@ -23,9 +23,11 @@ import (
 
 	"vcoma"
 	"vcoma/internal/cli"
+	"vcoma/internal/config"
 	"vcoma/internal/experiments"
 	"vcoma/internal/obs"
 	"vcoma/internal/report"
+	"vcoma/internal/workload"
 )
 
 func main() {
@@ -61,7 +63,7 @@ func main() {
 	dumpOpLog = fsDump
 
 	cfg := vcoma.Baseline()
-	scheme, err := parseScheme(*schemeStr)
+	scheme, err := config.ParseScheme(*schemeStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -73,7 +75,7 @@ func main() {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	scale, err := parseScale(*scaleStr)
+	scale, err := workload.ParseScale(*scaleStr)
 	if err != nil {
 		fatal(err)
 	}
@@ -225,36 +227,6 @@ func main() {
 }
 
 func pct(v, total float64) string { return fmt.Sprintf("%.1f%%", 100*v/total) }
-
-func parseScheme(s string) (vcoma.Scheme, error) {
-	switch strings.ToLower(s) {
-	case "l0", "l0-tlb":
-		return vcoma.L0TLB, nil
-	case "l1", "l1-tlb":
-		return vcoma.L1TLB, nil
-	case "l2", "l2-tlb":
-		return vcoma.L2TLB, nil
-	case "l3", "l3-tlb":
-		return vcoma.L3TLB, nil
-	case "v", "vcoma", "v-coma":
-		return vcoma.VCOMA, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (want l0, l1, l2, l3 or vcoma)", s)
-	}
-}
-
-func parseScale(s string) (vcoma.Scale, error) {
-	switch strings.ToLower(s) {
-	case "test":
-		return vcoma.ScaleTest, nil
-	case "small":
-		return vcoma.ScaleSmall, nil
-	case "paper":
-		return vcoma.ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("unknown scale %q (want test, small or paper)", s)
-	}
-}
 
 // runCtx is the signal context once armed; fatal consults it so an
 // interrupted run exits 128+signum per the shared convention. startTime and

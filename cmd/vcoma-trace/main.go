@@ -23,6 +23,7 @@ import (
 	"vcoma"
 	"vcoma/internal/addr"
 	"vcoma/internal/cli"
+	"vcoma/internal/config"
 	"vcoma/internal/experiments"
 	"vcoma/internal/fsio"
 	"vcoma/internal/machine"
@@ -67,9 +68,10 @@ func main() {
 	}
 	dumpOpLog = fsDump
 
-	scale := map[string]workload.Scale{
-		"test": workload.ScaleTest, "small": workload.ScaleSmall, "paper": workload.ScalePaper,
-	}[strings.ToLower(*scaleStr)]
+	scale, err := workload.ParseScale(*scaleStr)
+	if err != nil {
+		fatal(err)
+	}
 	cfg := experiments.ConfigForScale(vcoma.Baseline(), scale)
 
 	if *record {
@@ -79,10 +81,10 @@ func main() {
 		cli.LogExit(log, "vcoma-trace", startTime, cli.ExitOK, nil)
 		return
 	}
-	scheme := map[string]vcoma.Scheme{
-		"l0": vcoma.L0TLB, "l1": vcoma.L1TLB, "l2": vcoma.L2TLB,
-		"l3": vcoma.L3TLB, "vcoma": vcoma.VCOMA,
-	}[strings.ToLower(*schemeStr)]
+	scheme, err := config.ParseScheme(*schemeStr)
+	if err != nil {
+		fatal(err)
+	}
 	var o *obs.Observer
 	if *metricsOut != "" || *traceOut != "" {
 		opt := obs.Options{TraceCategories: *traceCats}

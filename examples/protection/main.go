@@ -15,20 +15,22 @@ import (
 )
 
 func main() {
-	cfg := experiments.ConfigForScale(vcoma.Baseline(), vcoma.ScaleTest)
-	bench, err := vcoma.BenchmarkByName("BARNES", vcoma.ScaleTest)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println("warming each machine with BARNES, then timing 16 protection")
-	fmt.Println("changes and 16 demaps per scheme...")
+	n := experiments.MgmtSamplePages
+	fmt.Printf("warming each machine with BARNES, then timing %d protection\n", n)
+	fmt.Printf("changes and %d demaps per scheme...\n", n)
 	fmt.Println()
 
-	rows, err := experiments.MgmtStudy(cfg, bench, 16)
+	suite := &experiments.Suite{
+		Cfg:        vcoma.Baseline(),
+		Scale:      vcoma.ScaleTest,
+		Benchmarks: []string{"BARNES"},
+		Only:       []string{"mgmt"},
+	}
+	res, err := suite.Run()
 	if err != nil {
 		log.Fatal(err)
 	}
+	rows := res.Mgmt
 	fmt.Println(experiments.RenderMgmt(rows, false))
 
 	var l0, vc experiments.MgmtRow

@@ -6,6 +6,7 @@ package config
 
 import (
 	"fmt"
+	"strings"
 
 	"vcoma/internal/addr"
 )
@@ -46,6 +47,25 @@ func (s Scheme) String() string {
 
 // Schemes lists all five options in paper order.
 func Schemes() []Scheme { return []Scheme{L0TLB, L1TLB, L2TLB, L3TLB, VCOMA} }
+
+// ParseScheme parses a scheme name, ignoring case and surrounding space:
+// l0 or l0-tlb through l3 or l3-tlb, and v, vcoma or v-coma.
+func ParseScheme(s string) (Scheme, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "l0", "l0-tlb":
+		return L0TLB, nil
+	case "l1", "l1-tlb":
+		return L1TLB, nil
+	case "l2", "l2-tlb":
+		return L2TLB, nil
+	case "l3", "l3-tlb":
+		return L3TLB, nil
+	case "v", "vcoma", "v-coma":
+		return VCOMA, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q (want l0, l1, l2, l3 or vcoma)", s)
+	}
+}
 
 // TLBOrg is the organization of a TLB or DLB.
 type TLBOrg int
@@ -149,7 +169,7 @@ type Config struct {
 }
 
 // Ablation toggles individual simulator design decisions so their
-// contribution can be measured (see experiments.AblationStudy).
+// contribution can be measured (see experiments.AblationVariants).
 type Ablation struct {
 	// NoMasterRelocation disables promoting an existing Shared copy when
 	// a master is evicted: every master eviction injects data instead.

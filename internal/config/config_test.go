@@ -152,3 +152,22 @@ func TestSchemeStrings(t *testing.T) {
 		t.Error("TLBOrg strings wrong")
 	}
 }
+
+func TestParseScheme(t *testing.T) {
+	for in, want := range map[string]Scheme{
+		"l0": L0TLB, "l0-tlb": L0TLB, "l1": L1TLB, "l1-tlb": L1TLB,
+		"l2": L2TLB, "l2-tlb": L2TLB, "l3": L3TLB, "l3-tlb": L3TLB,
+		"v": VCOMA, "vcoma": VCOMA, "v-coma": VCOMA,
+		" V-COMA ": VCOMA, "L0-TLB": L0TLB, "\tl3\n": L3TLB,
+	} {
+		got, err := ParseScheme(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScheme(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "", "l4", "coma", "l0tlb"} {
+		if _, err := ParseScheme(in); err == nil {
+			t.Errorf("ParseScheme(%q) accepted", in)
+		}
+	}
+}

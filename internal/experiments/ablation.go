@@ -84,22 +84,8 @@ func NormalizeAblation(rows []AblationRow) []AblationRow {
 	return rows
 }
 
-// AblationStudy quantifies the simulator's own design choices on the
-// V-COMA machine, each knob disabled in isolation.
-func AblationStudy(cfg config.Config, bench workload.Benchmark) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, v := range AblationVariants(cfg) {
-		row, err := AblationRun(context.Background(), v, bench)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return NormalizeAblation(rows), nil
-}
-
-// RenderAblation renders the ablation study.
-func RenderAblation(rows []AblationRow, markdown bool) string {
+// RenderAblation renders one benchmark's ablation study.
+func RenderAblation(bench string, rows []AblationRow, markdown bool) string {
 	headers := []string{"variant", "exec cycles", "vs baseline", "remote stall", "injections", "net queue"}
 	var out [][]string
 	for _, r := range rows {
@@ -112,7 +98,7 @@ func RenderAblation(rows []AblationRow, markdown bool) string {
 			report.Count(float64(r.QueueCycles)),
 		})
 	}
-	title := "Ablation — V-COMA design choices in isolation\n"
+	title := fmt.Sprintf("Ablation — %s: V-COMA design choices in isolation\n", bench)
 	if markdown {
 		return title + "\n" + report.MarkdownTable(headers, out)
 	}
@@ -138,26 +124,10 @@ func DLBOrgCell(ctx context.Context, cfg config.Config, bench workload.Benchmark
 	return misses, nil
 }
 
-// DLBOrgStudy sweeps the DLB organization (the associativity dimension the
-// paper only samples at its two extremes in Figure 9) on the V-COMA
-// machine: fully associative, 4-way, 2-way and direct mapped at each size.
-func DLBOrgStudy(cfg config.Config, bench workload.Benchmark, sizes []int) (map[config.TLBOrg]map[int]uint64, error) {
-	out := make(map[config.TLBOrg]map[int]uint64)
-	for _, org := range DLBOrgs {
-		out[org] = make(map[int]uint64)
-		for _, size := range sizes {
-			misses, err := DLBOrgCell(context.Background(), cfg, bench, size, org)
-			if err != nil {
-				return nil, err
-			}
-			out[org][size] = misses
-		}
-	}
-	return out, nil
-}
-
-// RenderDLBOrg renders the organization sweep.
-func RenderDLBOrg(data map[config.TLBOrg]map[int]uint64, sizes []int, markdown bool) string {
+// RenderDLBOrg renders one benchmark's organization sweep: the
+// associativity dimension the paper only samples at its two extremes in
+// Figure 9.
+func RenderDLBOrg(bench string, data map[config.TLBOrg]map[int]uint64, sizes []int, markdown bool) string {
 	headers := []string{"organization"}
 	for _, s := range sizes {
 		headers = append(headers, fmt.Sprint(s))
@@ -170,7 +140,7 @@ func RenderDLBOrg(data map[config.TLBOrg]map[int]uint64, sizes []int, markdown b
 		}
 		out = append(out, row)
 	}
-	title := "DLB associativity sweep — total DLB misses machine-wide\n"
+	title := fmt.Sprintf("DLB associativity sweep — %s: total DLB misses machine-wide\n", bench)
 	if markdown {
 		return title + "\n" + report.MarkdownTable(headers, out)
 	}

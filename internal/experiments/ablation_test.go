@@ -5,16 +5,10 @@ import (
 	"testing"
 
 	"vcoma/internal/config"
-	"vcoma/internal/workload"
 )
 
 func TestAblationStudy(t *testing.T) {
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	bench, err := workload.ByName("OCEAN", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := AblationStudy(cfg, bench)
+	rows, err := runPlan(t, func(p *Plan) error { return p.AddAblation("OCEAN") }).Ablation("OCEAN")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,19 +32,14 @@ func TestAblationStudy(t *testing.T) {
 	if sharedQ < baseQ {
 		t.Fatalf("shared channel queued less (%d) than split channels (%d)", sharedQ, baseQ)
 	}
-	if !strings.Contains(RenderAblation(rows, false), "baseline") {
+	if !strings.Contains(RenderAblation("OCEAN", rows, false), "baseline") {
 		t.Fatal("render incomplete")
 	}
 }
 
 func TestDLBOrgStudy(t *testing.T) {
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	bench, err := workload.ByName("FFT", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sizes := []int{4, 16}
-	data, err := DLBOrgStudy(cfg, bench, sizes)
+	data, err := runPlan(t, func(p *Plan) error { return p.AddDLBOrg("FFT", sizes) }).DLBOrg("FFT")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +48,7 @@ func TestDLBOrgStudy(t *testing.T) {
 			t.Fatalf("%v: more entries, more misses (%d < %d)", org, data[org][4], data[org][16])
 		}
 	}
-	if !strings.Contains(RenderDLBOrg(data, sizes, true), "FA") {
+	if !strings.Contains(RenderDLBOrg("FFT", data, sizes, true), "FA") {
 		t.Fatal("render incomplete")
 	}
 }

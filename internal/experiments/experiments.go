@@ -180,20 +180,6 @@ func AssembleObserved(benchmark string, passes map[config.Scheme]SchemePass) *Ob
 	return obs
 }
 
-// Observe runs the five scheme passes for one benchmark with the full
-// paper observer grid attached.
-func Observe(cfg config.Config, bench workload.Benchmark) (*Observed, error) {
-	passes := make(map[config.Scheme]SchemePass)
-	for _, sch := range config.Schemes() {
-		pass, err := ObserveScheme(context.Background(), cfg, bench, sch)
-		if err != nil {
-			return nil, err
-		}
-		passes[sch] = pass
-	}
-	return AssembleObserved(bench.Name(), passes), nil
-}
-
 // --- Figure 8: translation misses per node vs TLB/DLB size ---
 
 // Series is one curve of Figure 8 or 9: a label and misses-per-node by

@@ -15,12 +15,7 @@ import (
 // simpler: build a bank from a page stream sized to produce a known curve.
 func observedFixture(t *testing.T) *Observed {
 	t.Helper()
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	bench, err := workload.ByName("RADIX", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs, err := Observe(cfg, bench)
+	obs, err := runPlan(t, func(p *Plan) error { return p.AddObserve("RADIX") }).Observed("RADIX")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,13 +5,10 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"vcoma/internal/config"
-	"vcoma/internal/workload"
 )
 
 // The golden files pin the rendered Table 4 and Figure 10 outputs at test
-// scale. The simulator is deterministic, so any diff is a real behavioural
+// scale, computed through the Plan the report runs. The simulator is deterministic, so any diff is a real behavioural
 // change: inspect it, and if intended, regenerate with
 //
 //	go test ./internal/experiments/ -run TestGolden -update
@@ -40,12 +37,7 @@ func compareGolden(t *testing.T, name, got string) {
 }
 
 func TestGoldenTable4(t *testing.T) {
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	bench, err := workload.ByName("RADIX", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row, err := Table4(cfg, bench)
+	row, err := runPlan(t, func(p *Plan) error { return p.AddTable4("RADIX") }).Table4("RADIX")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +45,7 @@ func TestGoldenTable4(t *testing.T) {
 }
 
 func TestGoldenFigure10(t *testing.T) {
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	res, err := Figure10(cfg, "RAYTRACE", workload.ScaleTest)
+	res, err := runPlan(t, func(p *Plan) error { return p.AddFigure10("RAYTRACE") }).Figure10("RAYTRACE")
 	if err != nil {
 		t.Fatal(err)
 	}

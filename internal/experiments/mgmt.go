@@ -83,19 +83,6 @@ func MgmtStudyScheme(ctx context.Context, cfg config.Config, bench workload.Benc
 	return row, nil
 }
 
-// MgmtStudy runs MgmtStudyScheme for every scheme in paper order.
-func MgmtStudy(cfg config.Config, bench workload.Benchmark, samplePages int) ([]MgmtRow, error) {
-	var rows []MgmtRow
-	for _, sch := range config.Schemes() {
-		row, err := MgmtStudyScheme(context.Background(), cfg, bench, sch, samplePages)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
 // RenderMgmt renders the management study.
 func RenderMgmt(rows []MgmtRow, markdown bool) string {
 	headers := []string{"scheme", "prot-change cycles", "TLB/DLB invals", "demap cycles", "copies evicted"}

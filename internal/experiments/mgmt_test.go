@@ -5,16 +5,10 @@ import (
 	"testing"
 
 	"vcoma/internal/config"
-	"vcoma/internal/workload"
 )
 
 func TestMgmtStudy(t *testing.T) {
-	cfg := ConfigForScale(config.SmallTest(), workload.ScaleTest)
-	bench, err := workload.ByName("BARNES", workload.ScaleTest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := MgmtStudy(cfg, bench, 4)
+	rows, err := runPlan(t, func(p *Plan) error { return p.AddMgmt("BARNES", 4) }).Mgmt("BARNES")
 	if err != nil {
 		t.Fatal(err)
 	}

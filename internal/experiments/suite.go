@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -19,6 +20,14 @@ import (
 // samples per scheme.
 const MgmtSamplePages = 16
 
+// DLBOrgSizes are the DLB sizes the suite's organisation sweep covers.
+var DLBOrgSizes = []int{8, 16, 32, 64}
+
+// SectionIDs names the report's sections in rendering order; Suite.Only
+// selects among them. The last two, the ablation and DLB-organisation
+// sweeps, are extensions the default report leaves out.
+var SectionIDs = []string{"fig8", "fig9", "table2", "table3", "table4", "fig10", "fig11", "tags", "mgmt", "ablation", "dlborg"}
+
 // Suite runs the paper's complete evaluation and renders a Markdown report
 // with paper-vs-measured numbers for every table and figure. Passes execute
 // through the experiment runner: in parallel on a bounded worker pool, with
@@ -28,6 +37,11 @@ type Suite struct {
 	Cfg        config.Config
 	Scale      workload.Scale
 	Benchmarks []string // nil = all six
+	// Only selects report sections by SectionIDs entry; the suite plans
+	// just the passes they read and renders just them, in report order.
+	// Empty means the default report: every section but ablation and
+	// dlborg.
+	Only []string
 	// Log, if non-nil, receives per-job progress lines.
 	Log io.Writer
 	// Jobs is the worker-pool width; 0 means GOMAXPROCS.
@@ -77,7 +91,8 @@ type Suite struct {
 // CellFailure names one failed (or skipped) cell of a partial suite run.
 type CellFailure struct {
 	// Section is the report section the cell belongs to ("figures 8/9 +
-	// tables 2/3", "table 4", "figure 10", "figure 11", "management study").
+	// tables 2/3", "table 4", "figure 10", "figure 11", "management study",
+	// "ablation", "DLB organisation sweep").
 	Section string
 	// Benchmark is the cell's workload.
 	Benchmark string
@@ -99,18 +114,147 @@ func (s *Suite) names() []string {
 	return workload.Names()
 }
 
-// SuiteResult holds everything the full evaluation produced.
+// sections resolves Only into the selected section set.
+func (s *Suite) sections() (map[string]bool, error) {
+	ids := s.Only
+	if len(ids) == 0 {
+		ids = SectionIDs[:len(SectionIDs)-2]
+	}
+	sel := make(map[string]bool)
+	for _, id := range ids {
+		id = strings.ToLower(strings.TrimSpace(id))
+		if !slices.Contains(SectionIDs, id) {
+			return nil, fmt.Errorf("experiments: unknown section %q (want %s)", id, strings.Join(SectionIDs, ", "))
+		}
+		sel[id] = true
+	}
+	return sel, nil
+}
+
+// passGroup is one kind of pass the report reads: the sections that need
+// it, how to enumerate it for a benchmark, and how to assemble its result.
+type passGroup struct {
+	sections []string
+	// label names the group in CellFailure.Section.
+	label string
+	// once runs the group on the first benchmark only, after every
+	// per-benchmark group.
+	once     bool
+	add      func(p *Plan, name string) error
+	assemble func(pr *PlanResult, res *SuiteResult, name string) error
+}
+
+// passGroups lists the report's pass groups in plan order. The order fixes
+// every job's position in the plan, and so the plan key a -resume journal
+// checks: append new groups, never reorder.
+var passGroups = []passGroup{
+	{[]string{"fig8", "fig9", "table2", "table3"}, "figures 8/9 + tables 2/3", false, (*Plan).AddObserve,
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			obs, err := pr.Observed(name)
+			if err != nil {
+				return err
+			}
+			res.Observed[name] = obs
+			res.Fig8 = append(res.Fig8, Figure8(obs))
+			res.Fig9 = append(res.Fig9, Figure9(obs))
+			res.Tab2 = append(res.Tab2, Table2(obs))
+			res.Tab3 = append(res.Tab3, Table3(obs))
+			return nil
+		}},
+	{[]string{"table4"}, "table 4", false, (*Plan).AddTable4,
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			t4, err := pr.Table4(name)
+			if err == nil {
+				res.Tab4 = append(res.Tab4, t4)
+			}
+			return err
+		}},
+	{[]string{"fig10"}, "figure 10", false, (*Plan).AddFigure10,
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			f10, err := pr.Figure10(name)
+			if err == nil {
+				res.Fig10 = append(res.Fig10, f10)
+			}
+			return err
+		}},
+	{[]string{"fig11"}, "figure 11", false, (*Plan).AddFigure11,
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			f11, err := pr.Figure11(name)
+			if err == nil {
+				res.Fig11 = append(res.Fig11, f11)
+			}
+			return err
+		}},
+	{[]string{"ablation"}, "ablation", false, (*Plan).AddAblation,
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			rows, err := pr.Ablation(name)
+			if err == nil {
+				res.Ablation[name] = rows
+			}
+			return err
+		}},
+	{[]string{"dlborg"}, "DLB organisation sweep", false,
+		func(p *Plan, name string) error { return p.AddDLBOrg(name, DLBOrgSizes) },
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			misses, err := pr.DLBOrg(name)
+			if err == nil {
+				res.DLBOrg[name] = misses
+			}
+			return err
+		}},
+	{[]string{"mgmt"}, "management study", true,
+		func(p *Plan, name string) error { return p.AddMgmt(name, MgmtSamplePages) },
+		func(pr *PlanResult, res *SuiteResult, name string) error {
+			rows, err := pr.Mgmt(name)
+			if err == nil {
+				res.Mgmt = rows
+			}
+			return err
+		}},
+}
+
+// eachCell visits every (pass group, benchmark) cell the selection needs,
+// in plan order: benchmark by benchmark through the per-benchmark groups,
+// then the once-only groups on the first benchmark.
+func (s *Suite) eachCell(sel map[string]bool, f func(g *passGroup, name string) error) error {
+	names := s.names()
+	visit := func(once bool, names []string) error {
+		for _, name := range names {
+			for i := range passGroups {
+				g := &passGroups[i]
+				if g.once != once || !slices.ContainsFunc(g.sections, func(id string) bool { return sel[id] }) {
+					continue
+				}
+				if err := f(g, name); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+	if err := visit(false, names); err != nil || len(names) == 0 {
+		return err
+	}
+	return visit(true, names[:1])
+}
+
+// SuiteResult holds everything the evaluation produced.
 type SuiteResult struct {
-	Scale    workload.Scale
-	Observed map[string]*Observed
-	Fig8     []Figure8Result
-	Fig9     []Figure9Result
-	Tab2     []Table2Row
-	Tab3     []Table3Row
-	Tab4     []Table4Row
-	Fig10    []Figure10Result
-	Fig11    []Figure11Result
-	Mgmt     []MgmtRow
+	Scale workload.Scale
+	// Benchmarks is the suite's benchmark list, in report order.
+	Benchmarks []string
+	Observed   map[string]*Observed
+	Fig8       []Figure8Result
+	Fig9       []Figure9Result
+	Tab2       []Table2Row
+	Tab3       []Table3Row
+	Tab4       []Table4Row
+	Fig10      []Figure10Result
+	Fig11      []Figure11Result
+	Mgmt       []MgmtRow
+	// Ablation and DLBOrg map each benchmark to its extension sweep.
+	Ablation map[string][]AblationRow
+	DLBOrg   map[string]map[config.TLBOrg]map[int]uint64
 	// Failures lists the cells a KeepGoing run could not compute, in
 	// benchmark order. A complete run has none, so complete reports are
 	// byte-identical whether or not KeepGoing was set.
@@ -119,44 +263,32 @@ type SuiteResult struct {
 	// appears in the rendered report.
 	Elapsed   time.Duration
 	CacheHits int
+	// sel is the set of sections to render.
+	sel map[string]bool
 }
 
 // Partial reports whether any cell failed.
 func (r *SuiteResult) Partial() bool { return len(r.Failures) > 0 }
 
-// Plan enumerates the full evaluation as runner jobs.
+// Plan enumerates the selected sections' passes as runner jobs.
 func (s *Suite) Plan() (*Plan, error) {
-	cfg := ConfigForScale(s.Cfg, s.Scale)
-	p := NewPlan(cfg, s.Scale)
-	names := s.names()
-	for _, name := range names {
-		if err := p.AddObserve(name); err != nil {
-			return nil, err
-		}
-		if err := p.AddTable4(name); err != nil {
-			return nil, err
-		}
-		if err := p.AddFigure10(name); err != nil {
-			return nil, err
-		}
-		if err := p.AddFigure11(name); err != nil {
-			return nil, err
-		}
+	sel, err := s.sections()
+	if err != nil {
+		return nil, err
 	}
-	// The management study runs once, on the first benchmark.
-	if len(names) > 0 {
-		if err := p.AddMgmt(names[0], MgmtSamplePages); err != nil {
-			return nil, err
-		}
+	p := NewPlan(ConfigForScale(s.Cfg, s.Scale), s.Scale)
+	err = s.eachCell(sel, func(g *passGroup, name string) error { return g.add(p, name) })
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// Run executes every experiment through the runner and assembles the
-// results in benchmark order. Without KeepGoing, any failure aborts the
-// run and Run returns (nil, err). With KeepGoing, Run always returns the
-// assembled partial result; the error is non-nil exactly when the result
-// is partial (SuiteResult.Failures lists the missing cells).
+// Run executes the selected sections' passes through the runner and
+// assembles the results in benchmark order. Without KeepGoing, any failure
+// aborts the run and Run returns (nil, err). With KeepGoing, Run always
+// returns the assembled partial result; the error is non-nil exactly when
+// the result is partial (SuiteResult.Failures lists the missing cells).
 func (s *Suite) Run() (*SuiteResult, error) {
 	start := time.Now()
 	ctx := s.Context
@@ -168,6 +300,7 @@ func (s *Suite) Run() (*SuiteResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	sel, _ := s.sections() // Plan has validated the selection
 	plan.ApplyChaos(s.Chaos)
 	prog := s.Progress
 	if prog == nil {
@@ -199,78 +332,38 @@ func (s *Suite) Run() (*SuiteResult, error) {
 		return nil, runErr
 	}
 
-	res := &SuiteResult{Scale: s.Scale, Observed: make(map[string]*Observed)}
-	// cell assembles one section cell, recording a failure instead of
-	// aborting when the suite is degrading gracefully.
-	cell := func(section, name string, f func() error) {
-		if err := f(); err != nil {
-			res.Failures = append(res.Failures, CellFailure{Section: section, Benchmark: name, Err: err.Error()})
+	res := &SuiteResult{
+		Scale:      s.Scale,
+		Benchmarks: s.names(),
+		Observed:   make(map[string]*Observed),
+		Ablation:   make(map[string][]AblationRow),
+		DLBOrg:     make(map[string]map[config.TLBOrg]map[int]uint64),
+		sel:        sel,
+	}
+	// A failed cell is recorded, not fatal, when the suite is degrading
+	// gracefully; the visitor never fails, so neither does the walk.
+	_ = s.eachCell(sel, func(g *passGroup, name string) error {
+		if err := g.assemble(pr, res, name); err != nil {
+			res.Failures = append(res.Failures, CellFailure{Section: g.label, Benchmark: name, Err: err.Error()})
 		}
-	}
-	names := s.names()
-	for _, name := range names {
-		name := name
-		cell("figures 8/9 + tables 2/3", name, func() error {
-			obs, err := pr.Observed(name)
-			if err != nil {
-				return err
-			}
-			res.Observed[name] = obs
-			res.Fig8 = append(res.Fig8, Figure8(obs))
-			res.Fig9 = append(res.Fig9, Figure9(obs))
-			res.Tab2 = append(res.Tab2, Table2(obs))
-			res.Tab3 = append(res.Tab3, Table3(obs))
-			return nil
-		})
-		cell("table 4", name, func() error {
-			t4, err := pr.Table4(name)
-			if err != nil {
-				return err
-			}
-			res.Tab4 = append(res.Tab4, t4)
-			return nil
-		})
-		cell("figure 10", name, func() error {
-			f10, err := pr.Figure10(name)
-			if err != nil {
-				return err
-			}
-			res.Fig10 = append(res.Fig10, f10)
-			return nil
-		})
-		cell("figure 11", name, func() error {
-			f11, err := pr.Figure11(name)
-			if err != nil {
-				return err
-			}
-			res.Fig11 = append(res.Fig11, f11)
-			return nil
-		})
-	}
-	if len(names) > 0 {
-		cell("management study", names[0], func() error {
-			rows, err := pr.Mgmt(names[0])
-			if err != nil {
-				return err
-			}
-			res.Mgmt = rows
-			return nil
-		})
-	}
+		return nil
+	})
 	res.Elapsed = time.Since(start)
 	res.CacheHits = pr.Raw().CacheHits
 	return res, runErr
 }
 
-// RenderMarkdown produces the full paper-vs-measured report. The output
-// depends only on the results, never on how they were computed: no wall
-// times, worker counts or cache statistics appear, so reruns with any
-// `-jobs` value or cache state render byte-identical reports.
+// RenderMarkdown produces the paper-vs-measured report for the selected
+// sections, in report order. The output depends only on the results, never
+// on how they were computed: no wall times, worker counts or cache
+// statistics appear, so reruns with any `-jobs` value or cache state render
+// byte-identical reports.
 func (r *SuiteResult) RenderMarkdown() string {
 	var b []byte
 	w := func(format string, args ...any) {
 		b = append(b, fmt.Sprintf(format+"\n", args...)...)
 	}
+	sel := r.sel
 
 	w("# Experiments — paper vs. measured")
 	w("")
@@ -278,57 +371,71 @@ func (r *SuiteResult) RenderMarkdown() string {
 	w("All numbers regenerate with `go run ./cmd/vcoma-report -scale %v`.", r.Scale)
 	w("")
 
-	w("## Figure 8 — translation misses per node vs TLB/DLB size")
-	w("")
-	w("Paper shape: %s", ExpectedShapes["fig8"])
-	w("")
-	for _, f := range r.Fig8 {
-		w("%s", f.Render(true))
+	if sel["fig8"] {
+		w("## Figure 8 — translation misses per node vs TLB/DLB size")
+		w("")
+		w("Paper shape: %s", ExpectedShapes["fig8"])
+		w("")
+		for _, f := range r.Fig8 {
+			w("%s", f.Render(true))
+		}
 	}
 
-	w("## Figure 9 — direct-mapped vs fully-associative")
-	w("")
-	w("Paper shape: %s", ExpectedShapes["fig9"])
-	w("")
-	for _, f := range r.Fig9 {
-		w("%s", f.Render(true))
+	if sel["fig9"] {
+		w("## Figure 9 — direct-mapped vs fully-associative")
+		w("")
+		w("Paper shape: %s", ExpectedShapes["fig9"])
+		w("")
+		for _, f := range r.Fig9 {
+			w("%s", f.Render(true))
+		}
 	}
 
-	w("## Table 2 — miss rates per processor reference (%%)")
-	w("")
-	w("%s", RenderTable2(r.Tab2, true))
-	w("Paper's Table 2 for comparison:")
-	w("")
-	w("%s", RenderTable2(paperTable2Rows(r.names()), true))
-
-	w("## Table 3 — TLB size equivalent to an 8-entry DLB")
-	w("")
-	w("%s", RenderTable3(r.Tab3, true))
-	w("Paper's Table 3 for comparison:")
-	w("")
-	w("%s", RenderTable3(paperTable3Rows(r.names()), true))
-
-	w("## Table 4 — translation time / total stall time (%%)")
-	w("")
-	w("%s", RenderTable4(r.Tab4, true))
-	w("Paper's Table 4 for comparison:")
-	w("")
-	w("%s", renderPaperTable4(r.names()))
-
-	w("## Figure 10 — execution time breakdown")
-	w("")
-	w("Paper shape: %s", ExpectedShapes["fig10"])
-	w("")
-	for _, f := range r.Fig10 {
-		w("%s", f.Render(true))
+	if sel["table2"] {
+		w("## Table 2 — miss rates per processor reference (%%)")
+		w("")
+		w("%s", RenderTable2(r.Tab2, true))
+		w("Paper's Table 2 for comparison:")
+		w("")
+		w("%s", RenderTable2(paperTable2Rows(r.Benchmarks), true))
 	}
 
-	w("## Figure 11 — global page set pressure")
-	w("")
-	w("Paper shape: %s", ExpectedShapes["fig11"])
-	w("")
-	for _, f := range r.Fig11 {
-		w("%s", f.Render(true))
+	if sel["table3"] {
+		w("## Table 3 — TLB size equivalent to an 8-entry DLB")
+		w("")
+		w("%s", RenderTable3(r.Tab3, true))
+		w("Paper's Table 3 for comparison:")
+		w("")
+		w("%s", RenderTable3(paperTable3Rows(r.Benchmarks), true))
+	}
+
+	if sel["table4"] {
+		w("## Table 4 — translation time / total stall time (%%)")
+		w("")
+		w("%s", RenderTable4(r.Tab4, true))
+		w("Paper's Table 4 for comparison:")
+		w("")
+		w("%s", renderPaperTable4(r.Benchmarks))
+	}
+
+	if sel["fig10"] {
+		w("## Figure 10 — execution time breakdown")
+		w("")
+		w("Paper shape: %s", ExpectedShapes["fig10"])
+		w("")
+		for _, f := range r.Fig10 {
+			w("%s", f.Render(true))
+		}
+	}
+
+	if sel["fig11"] {
+		w("## Figure 11 — global page set pressure")
+		w("")
+		w("Paper shape: %s", ExpectedShapes["fig11"])
+		w("")
+		for _, f := range r.Fig11 {
+			w("%s", f.Render(true))
+		}
 	}
 
 	if len(r.Failures) > 0 {
@@ -345,9 +452,14 @@ func (r *SuiteResult) RenderMarkdown() string {
 		w("")
 	}
 
+	if !sel["tags"] && !sel["mgmt"] && !sel["ablation"] && !sel["dlborg"] {
+		return string(b)
+	}
 	w("## Extensions beyond the paper's tables")
 	w("")
-	w("%s", RenderTagOverhead(true))
+	if sel["tags"] {
+		w("%s", RenderTagOverhead(true))
+	}
 	if len(r.Mgmt) > 0 {
 		w("%s", RenderMgmt(r.Mgmt, true))
 		w("Protection changes and demaps in the TLB schemes interrupt every")
@@ -356,15 +468,17 @@ func (r *SuiteResult) RenderMarkdown() string {
 		w("of the page (paper §1 motivation, §4.3 protocol).")
 		w("")
 	}
-	return string(b)
-}
-
-func (r *SuiteResult) names() []string {
-	var out []string
-	for _, f := range r.Fig8 {
-		out = append(out, f.Benchmark)
+	for _, name := range r.Benchmarks {
+		if rows, ok := r.Ablation[name]; ok {
+			w("%s", RenderAblation(name, rows, true))
+		}
 	}
-	return out
+	for _, name := range r.Benchmarks {
+		if misses, ok := r.DLBOrg[name]; ok {
+			w("%s", RenderDLBOrg(name, misses, DLBOrgSizes, true))
+		}
+	}
+	return string(b)
 }
 
 func paperTable2Rows(names []string) []Table2Row {

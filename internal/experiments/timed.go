@@ -95,20 +95,6 @@ func table4FromBreakdowns(bench string, cells map[string]Breakdown) Table4Row {
 	return row
 }
 
-// Table4 runs the timed L0-TLB and V-COMA configurations at sizes 8 and 16
-// and reports the paper's stall-ratio metric.
-func Table4(cfg config.Config, bench workload.Benchmark) (Table4Row, error) {
-	cells := make(map[string]Breakdown)
-	for _, c := range table4Cells() {
-		b, err := Timed(context.Background(), cfg.WithScheme(c.Scheme).WithTLB(c.Size, config.FullyAssoc), bench, "")
-		if err != nil {
-			return Table4Row{}, err
-		}
-		cells[c.key()] = b
-	}
-	return table4FromBreakdowns(bench.Name(), cells), nil
-}
-
 // --- Figure 10: execution time breakdown ---
 
 // Figure10Result is one benchmark's set of configuration breakdowns, in the
@@ -154,25 +140,6 @@ func Figure10Variants(cfg config.Config, name string, scale workload.Scale) ([]F
 		})
 	}
 	return variants, nil
-}
-
-// Figure10 runs the paper's Figure 10 configurations for one benchmark at
-// the given scale (the V2 variant needs to rebuild RAYTRACE with a 4 KB
-// stack alignment, hence the scale rather than a prebuilt Benchmark).
-func Figure10(cfg config.Config, name string, scale workload.Scale) (Figure10Result, error) {
-	variants, err := Figure10Variants(cfg, name, scale)
-	if err != nil {
-		return Figure10Result{}, err
-	}
-	r := Figure10Result{Benchmark: name}
-	for _, v := range variants {
-		b, err := Timed(context.Background(), v.Cfg, v.Bench, v.Label)
-		if err != nil {
-			return Figure10Result{}, err
-		}
-		r.Breakdowns = append(r.Breakdowns, b)
-	}
-	return r, nil
 }
 
 // --- Figure 11: pressure profile ---

@@ -6,11 +6,27 @@ import (
 	"testing"
 
 	"vcoma/internal/config"
+	"vcoma/internal/runner"
 	"vcoma/internal/workload"
 )
 
 func testCfg() config.Config {
 	return ConfigForScale(config.SmallTest(), workload.ScaleTest)
+}
+
+// runPlan enumerates passes with add on a fresh test-scale plan and runs
+// them through the runner, the path the report takes.
+func runPlan(tb testing.TB, add func(p *Plan) error) *PlanResult {
+	tb.Helper()
+	p := NewPlan(testCfg(), workload.ScaleTest)
+	if err := add(p); err != nil {
+		tb.Fatal(err)
+	}
+	pr, err := p.Run(context.Background(), runner.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return pr
 }
 
 func TestTimedBreakdownSumsToExecScale(t *testing.T) {
@@ -33,8 +49,7 @@ func TestTimedBreakdownSumsToExecScale(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	bench, _ := workload.ByName("FMM", workload.ScaleTest)
-	row, err := Table4(testCfg(), bench)
+	row, err := runPlan(t, func(p *Plan) error { return p.AddTable4("FMM") }).Table4("FMM")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +70,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestFigure10Variants(t *testing.T) {
-	r, err := Figure10(testCfg(), "RAYTRACE", workload.ScaleTest)
+	r, err := runPlan(t, func(p *Plan) error { return p.AddFigure10("RAYTRACE") }).Figure10("RAYTRACE")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +101,7 @@ func TestFigure10Variants(t *testing.T) {
 	}
 
 	// Non-RAYTRACE benchmarks have no V2 bar.
-	r2, err := Figure10(testCfg(), "FFT", workload.ScaleTest)
+	r2, err := runPlan(t, func(p *Plan) error { return p.AddFigure10("FFT") }).Figure10("FFT")
 	if err != nil {
 		t.Fatal(err)
 	}

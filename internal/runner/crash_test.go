@@ -157,7 +157,7 @@ func TestCrashSweepJournalResumeByteIdentical(t *testing.T) {
 		}
 		cc.SetLog(nil)
 		jp := filepath.Join(dir, "journal.json")
-		// Resume like vcoma-sweep -resume would; any unusable journal
+		// Resume like vcoma-report -resume would; any unusable journal
 		// (absent, empty, torn header) means starting fresh.
 		rj, _, rerr := ResumeJournal(jp, plan, nil)
 		if rerr != nil {

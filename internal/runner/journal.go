@@ -21,9 +21,9 @@ const journalName = "journal.json"
 // result cache. Each completed job appends one line, synced to disk, so a
 // run killed mid-flight (SIGTERM, panic, power loss) leaves an exact record
 // of how far it got. A journal whose run completed is deleted; one left
-// behind marks an interrupted run that `vcoma-sweep -resume` can continue —
+// behind marks an interrupted run that `vcoma-report -resume` can continue —
 // the plan hash in the header guarantees the resume is continuing the same
-// sweep (same experiment, benchmarks, scale and configuration), and the
+// run (same sections, benchmarks, scale and configuration), and the
 // content-addressed cache supplies the already-computed results.
 type Journal struct {
 	path string

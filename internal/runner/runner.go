@@ -10,8 +10,8 @@
 // inputs (KeyOf), so results are position-independent: the same suite
 // produces byte-identical reports at any worker count and from any cache
 // state. The experiment harness (internal/experiments) enumerates the
-// paper's evaluation grid as runner jobs; cmd/vcoma-report and
-// cmd/vcoma-sweep execute them through this package.
+// paper's evaluation grid as runner jobs; cmd/vcoma-report executes them
+// through this package.
 package runner
 
 import (
@@ -105,7 +105,7 @@ type Options struct {
 	// times. The zero value never retries.
 	Retry Retry
 	// Journal, if non-nil, records every completed job so an interrupted
-	// suite can be resumed (vcoma-sweep -resume).
+	// suite can be resumed (vcoma-report -resume).
 	Journal *Journal
 }
 

@@ -120,13 +120,13 @@ func (s Spec) Key() runner.Key {
 // configuration goes through config.Validate, so a malformed request is
 // rejected at the API boundary with the same diagnostics the CLIs print.
 func (r Request) Resolve() (Spec, error) {
-	scale, err := parseScale(r.Scale)
+	scale, err := workload.ParseScale(r.Scale)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, fmt.Errorf("serve: %w", err)
 	}
-	scheme, err := parseScheme(r.Scheme)
+	scheme, err := config.ParseScheme(r.Scheme)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, fmt.Errorf("serve: %w", err)
 	}
 	org, err := parseOrg(r.Org)
 	if err != nil {
@@ -165,36 +165,6 @@ func (r Request) Resolve() (Spec, error) {
 // journal records and chaos matchers all see the same identity.
 func (s Spec) Name() string {
 	return fmt.Sprintf("serve/%s/%s/%s/%d%s", s.Bench.Name(), s.Config.Scheme, s.Scale, s.Config.TLBEntries, s.Config.TLBOrg)
-}
-
-func parseScheme(s string) (config.Scheme, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "l0", "l0-tlb":
-		return config.L0TLB, nil
-	case "l1", "l1-tlb":
-		return config.L1TLB, nil
-	case "l2", "l2-tlb":
-		return config.L2TLB, nil
-	case "l3", "l3-tlb":
-		return config.L3TLB, nil
-	case "v", "vcoma", "v-coma":
-		return config.VCOMA, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown scheme %q (want l0, l1, l2, l3 or vcoma)", s)
-	}
-}
-
-func parseScale(s string) (workload.Scale, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "test":
-		return workload.ScaleTest, nil
-	case "small":
-		return workload.ScaleSmall, nil
-	case "paper":
-		return workload.ScalePaper, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown scale %q (want test, small or paper)", s)
-	}
 }
 
 func parseOrg(s string) (config.TLBOrg, error) {

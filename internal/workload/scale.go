@@ -1,5 +1,10 @@
 package workload
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Scale selects a parameter set for the benchmark suite.
 type Scale int
 
@@ -26,6 +31,17 @@ func (s Scale) String() string {
 	default:
 		return "Scale(?)"
 	}
+}
+
+// ParseScale parses a scale name (test, small or paper), ignoring case and
+// surrounding space.
+func ParseScale(s string) (Scale, error) {
+	for _, sc := range []Scale{ScaleTest, ScaleSmall, ScalePaper} {
+		if strings.EqualFold(strings.TrimSpace(s), sc.String()) {
+			return sc, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want test, small or paper)", s)
 }
 
 // Radix returns the RADIX parameters at this scale (paper: -n524288 -r2048

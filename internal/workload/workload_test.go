@@ -175,3 +175,20 @@ func TestScales(t *testing.T) {
 		t.Fatal("paper scale must keep the 4 MB attraction memory")
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for in, want := range map[string]Scale{
+		"test": ScaleTest, "small": ScaleSmall, "paper": ScalePaper,
+		" Paper ": ScalePaper, "SMALL": ScaleSmall, "\tTest\n": ScaleTest,
+	} {
+		got, err := ParseScale(in)
+		if err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	for _, in := range []string{"bogus", "", "tests", "pap er"} {
+		if _, err := ParseScale(in); err == nil {
+			t.Errorf("ParseScale(%q) accepted", in)
+		}
+	}
+}
