@@ -31,6 +31,11 @@ import (
 )
 
 func main() {
+	code, err := run()
+	cli.Exit(log, "vcoma-check", startTime, dumpOpLog, code, err)
+}
+
+func run() (int, error) {
 	var (
 		seeds     = flag.Int("seeds", 100, "number of seeded workloads to run")
 		start     = flag.Int64("start", 0, "first seed")
@@ -51,7 +56,7 @@ func main() {
 
 	var err error
 	if fsys, dumpOpLog, err = fsFaultOf(); err != nil {
-		fatal(err)
+		return cli.ExitErr, err
 	}
 
 	// SIGINT/SIGTERM stops the soak at the next seed boundary: artifacts
@@ -61,20 +66,26 @@ func main() {
 
 	if *benchName != "" {
 		if err := checkBenchmark(*benchName, *scaleStr, *diff, *scanEvery); err != nil {
-			fatal(err)
+			return cli.ExitErr, err
 		}
-		writeOpLog()
-		cli.LogExit(log, "vcoma-check", startTime, cli.ExitOK, nil)
-		return
+		return cli.ExitOK, nil
 	}
 
 	schemes := config.Schemes()
 	if *schemeStr != "all" {
 		s, err := config.ParseScheme(*schemeStr)
 		if err != nil {
-			fatal(err)
+			return cli.ExitErr, err
 		}
 		schemes = []config.Scheme{s}
+	}
+	pinned := -1
+	if *scenario != "all" {
+		s, err := fuzzgen.ScenarioByName(strings.ToLower(*scenario))
+		if err != nil {
+			return cli.ExitErr, err
+		}
+		pinned = int(s)
 	}
 
 	deadline := time.Time{}
@@ -96,7 +107,11 @@ func main() {
 			break
 		}
 		seed := uint64(*start) + uint64(i)
-		scen, size := deriveInputs(seed, *scenario)
+		// The seed picks the scenario unless one is pinned.
+		scen, size := seed, seed*31
+		if pinned >= 0 {
+			scen = uint64(pinned)
+		}
 		w := fuzzgen.Derive(seed, scen, size)
 		ran++
 
@@ -125,32 +140,14 @@ func main() {
 	}
 
 	fmt.Printf("%d run(s), %d failure(s)\n", ran, failures)
-	writeOpLog()
 	if failures > 0 {
-		cli.LogExit(log, "vcoma-check", startTime, cli.ExitErr, fmt.Errorf("%d failing seed(s)", failures))
-		os.Exit(1)
+		return cli.ExitErr, fmt.Errorf("%d failing seed(s)", failures)
 	}
 	if interrupted {
 		// 128+signum per the shared convention (130 SIGINT, 143 SIGTERM).
-		code := cli.ExitCode(ctx, context.Cause(ctx))
-		cli.LogExit(log, "vcoma-check", startTime, code, context.Cause(ctx))
-		os.Exit(code)
+		return cli.ExitCode(ctx, context.Cause(ctx)), context.Cause(ctx)
 	}
-	cli.LogExit(log, "vcoma-check", startTime, cli.ExitOK, nil)
-}
-
-// deriveInputs maps a seed to (scenario, size) fuzz inputs, honoring a
-// pinned scenario name.
-func deriveInputs(seed uint64, scenario string) (scen, size uint64) {
-	size = seed * 31
-	if scenario == "all" {
-		return seed, size
-	}
-	s, err := fuzzgen.ScenarioByName(strings.ToLower(scenario))
-	if err != nil {
-		fatal(err)
-	}
-	return uint64(s), size
+	return cli.ExitOK, nil
 }
 
 func runDiff(w *fuzzgen.Workload, scanEvery uint64) error {
@@ -231,27 +228,10 @@ func status(err error, format string, args ...any) {
 
 // startTime and log feed the final structured line every exit path emits;
 // fsys is the filesystem seam artifact writes go through, and dumpOpLog
-// flushes the -fsfault-log op trace, which fatal must do itself because
-// os.Exit skips deferred calls.
+// flushes the -fsfault-log op trace.
 var (
 	startTime = time.Now()
 	log       *slog.Logger
 	fsys      *fsio.FS
 	dumpOpLog func() error
 )
-
-func writeOpLog() {
-	if dumpOpLog == nil {
-		return
-	}
-	if err := dumpOpLog(); err != nil {
-		fmt.Fprintf(os.Stderr, "vcoma-check: fsfault-log: %v\n", err)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "vcoma-check: %v\n", err)
-	writeOpLog()
-	cli.LogExit(log, "vcoma-check", startTime, cli.ExitErr, err)
-	os.Exit(1)
-}

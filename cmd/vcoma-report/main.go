@@ -41,12 +41,11 @@ import (
 )
 
 func main() {
-	code := run()
-	cli.LogExit(log, "vcoma-report", startTime, code, nil)
-	os.Exit(code)
+	code, err := run()
+	cli.Exit(log, "vcoma-report", startTime, dumpOpLog, code, err)
 }
 
-func run() int {
+func run() (int, error) {
 	var (
 		scaleStr   = flag.String("scale", "small", "workload scale: test, small, paper")
 		outPath    = flag.String("o", "", "output file (default stdout)")
@@ -77,11 +76,7 @@ func run() int {
 	if err != nil {
 		return fatal(err)
 	}
-	defer func() {
-		if err := fsDump(); err != nil {
-			fmt.Fprintf(os.Stderr, "fsfault-log: %v\n", err)
-		}
-	}()
+	dumpOpLog = fsDump
 
 	if *clearCache {
 		c, err := runner.OpenCacheFS(*cacheDir, fsys)
@@ -92,7 +87,7 @@ func run() int {
 			return fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "cleared result cache under %s\n", *cacheDir)
-		return 0
+		return 0, nil
 	}
 
 	scale, err := workload.ParseScale(*scaleStr)
@@ -213,28 +208,29 @@ func run() int {
 		// A signal outranks partial status: an interrupted -keep-going run
 		// reports 128+signum, not 2.
 		if sig := cli.ExitCode(ctx, context.Cause(ctx)); sig > cli.ExitPartial {
-			return sig
+			return sig, context.Cause(ctx)
 		}
-		return cli.ExitPartial
+		return cli.ExitPartial, nil
 	}
 	if suite.Journal != nil {
 		if jerr := suite.Journal.Complete(); jerr != nil {
 			return fatal(jerr)
 		}
 	}
-	return 0
+	return 0, nil
 }
 
 // runCtx is the signal context once armed; fatal consults it so an
 // interrupted suite exits 128+signum per the shared convention. startTime
-// and log feed the final structured line main emits on every exit path.
+// and log feed the final structured line main emits on every exit path,
+// after dumpOpLog writes the -fsfault-log op trace.
 var (
 	runCtx    context.Context
 	startTime = time.Now()
 	log       *slog.Logger
+	dumpOpLog func() error
 )
 
-func fatal(err error) int {
-	fmt.Fprintln(os.Stderr, "vcoma-report:", err)
-	return cli.ExitCode(runCtx, err)
+func fatal(err error) (int, error) {
+	return cli.ExitCode(runCtx, err), err
 }

@@ -1,12 +1,21 @@
 // Command vcoma-sim runs one benchmark on one machine configuration and
 // prints a run summary: execution-time breakdown, cache and protocol
-// statistics, and translation-buffer behaviour.
+// statistics, and translation-buffer behaviour. The cell resolves the way
+// vcoma-serve resolves a request (experiments.Cell), attraction memory
+// scaled to the workload.
+//
+// -record DIR writes the cell's reference streams to a trace directory
+// instead of simulating; -replay DIR runs a recorded trace in place of
+// -bench, on the machine the other flags describe, with every output the
+// live run has. Replay on the -scale it was recorded at.
 //
 // Examples:
 //
 //	vcoma-sim -bench RADIX -scheme vcoma -scale small
 //	vcoma-sim -bench FFT -scheme l0 -tlb 16 -org dm -scale test
 //	vcoma-sim -bench OCEAN -scheme vcoma -json | jq .breakdown
+//	vcoma-sim -record /tmp/radix -bench RADIX -scale test
+//	vcoma-sim -replay /tmp/radix -scale test -scheme l0 -v
 package main
 
 import (
@@ -23,23 +32,39 @@ import (
 
 	"vcoma"
 	"vcoma/internal/cli"
-	"vcoma/internal/config"
 	"vcoma/internal/experiments"
+	"vcoma/internal/network"
 	"vcoma/internal/obs"
 	"vcoma/internal/report"
 	"vcoma/internal/workload"
 )
 
+// cellFlags registers the flags naming the simulated cell on fs and
+// returns a function that assembles the cell after parsing.
+func cellFlags(fs *flag.FlagSet) func() experiments.Cell {
+	bench := fs.String("bench", "RADIX", "benchmark: RADIX, FFT, FMM, OCEAN, RAYTRACE, BARNES")
+	scheme := fs.String("scheme", "vcoma", "translation scheme: l0, l1, l2, l3, vcoma")
+	scale := fs.String("scale", "small", "workload scale: test, small, paper")
+	entries := fs.Int("tlb", 8, "TLB/DLB entries (0 = the baseline's)")
+	org := fs.String("org", "fa", "TLB/DLB organization: fa (fully associative) or dm (direct mapped)")
+	seed := fs.Uint64("seed", 0, "override the configuration seed (0 = default)")
+	return func() experiments.Cell {
+		return experiments.Cell{Bench: *bench, Scheme: *scheme, Scale: *scale, Org: *org, TLB: *entries, Seed: *seed}
+	}
+}
+
 func main() {
+	code, err := run()
+	cli.Exit(log, "vcoma-sim", startTime, dumpOpLog, code, err)
+}
+
+func run() (int, error) {
+	cellOf := cellFlags(flag.CommandLine)
 	var (
-		benchName = flag.String("bench", "RADIX", "benchmark: RADIX, FFT, FMM, OCEAN, RAYTRACE, BARNES")
-		schemeStr = flag.String("scheme", "vcoma", "translation scheme: l0, l1, l2, l3, vcoma")
-		scaleStr  = flag.String("scale", "small", "workload scale: test, small, paper")
-		entries   = flag.Int("tlb", 8, "TLB/DLB entries")
-		orgStr    = flag.String("org", "fa", "TLB/DLB organization: fa (fully associative) or dm (direct mapped)")
-		seed      = flag.Uint64("seed", 0, "override the configuration seed (0 = default)")
 		verbose   = flag.Bool("v", false, "print per-node statistics")
 		jsonOut   = flag.Bool("json", false, "emit the run summary as JSON (report.RunSummary schema)")
+		recordDir = flag.String("record", "", "record the cell's reference streams to this trace directory instead of simulating")
+		replayDir = flag.String("replay", "", "simulate the trace recorded in this directory instead of -bench")
 
 		metricsOut      = flag.String("metrics-out", "", "write epoch-sampled metrics to this file (.csv for CSV, else JSON)")
 		metricsInterval = flag.Uint64("metrics-interval", 10000, "sampling epoch in simulated cycles for -metrics-out")
@@ -54,34 +79,35 @@ func main() {
 	log = newLog()
 
 	if err := obs.StartPprof(*pprofAddr); err != nil {
-		fatal(err)
+		return cli.ExitErr, err
 	}
 	fsys, fsDump, err := fsFaultOf()
 	if err != nil {
-		fatal(err)
+		return cli.ExitErr, err
 	}
 	dumpOpLog = fsDump
 
-	cfg := vcoma.Baseline()
-	scheme, err := config.ParseScheme(*schemeStr)
+	cfg, bench, scale, err := cellOf().Resolve()
 	if err != nil {
-		fatal(err)
+		return cli.ExitErr, err
 	}
-	org := vcoma.FullyAssoc
-	if strings.EqualFold(*orgStr, "dm") {
-		org = vcoma.DirectMapped
+	if *recordDir != "" {
+		if *replayDir != "" {
+			return cli.ExitErr, errors.New("-record and -replay are exclusive")
+		}
+		prog, err := bench.Build(cfg.Geometry, cfg.Geometry.Nodes())
+		if err != nil {
+			return cli.ExitErr, err
+		}
+		n, err := workload.Record(prog, *recordDir, fsys)
+		if err != nil {
+			return cli.ExitErr, err
+		}
+		fmt.Printf("recorded %s: %d events across %d processors into %s\n", prog.Name(), n, prog.Procs(), *recordDir)
+		return cli.ExitOK, nil
 	}
-	cfg = cfg.WithScheme(scheme).WithTLB(*entries, org)
-	if *seed != 0 {
-		cfg.Seed = *seed
-	}
-	scale, err := workload.ParseScale(*scaleStr)
-	if err != nil {
-		fatal(err)
-	}
-	bench, err := vcoma.BenchmarkByName(strings.ToUpper(*benchName), scale)
-	if err != nil {
-		fatal(err)
+	if *replayDir != "" {
+		bench = workload.Recorded(*replayDir)
 	}
 
 	var o *vcoma.Observer
@@ -96,11 +122,11 @@ func main() {
 		o = vcoma.NewObserver(opt)
 	}
 
-	// The run is supervised: Ctrl-C aborts it cleanly, and any armed
-	// watchdog budget trips with a full diagnostic dump instead of a hang.
+	// The run is supervised: Ctrl-C aborts it cleanly (exit 128+signum),
+	// and any armed watchdog budget trips with a full diagnostic dump
+	// instead of a hang.
 	ctx, cancel := cli.SignalContext(context.Background(), "vcoma-sim")
 	defer cancel(nil)
-	runCtx = ctx
 
 	start := time.Now()
 	res, err := vcoma.Run(ctx, cfg, bench, vcoma.RunOptions{Observer: o, Budget: budgetOf()})
@@ -109,7 +135,7 @@ func main() {
 		if errors.As(err, &we) {
 			fmt.Fprint(os.Stderr, we.Dump.Render())
 		}
-		fatal(err)
+		return cli.ExitCode(ctx, err), err
 	}
 	elapsed := time.Since(start)
 
@@ -120,28 +146,23 @@ func main() {
 			render = ts.WriteCSV
 		}
 		if err := cli.AtomicOutput(fsys, "metrics-out", *metricsOut, render); err != nil {
-			fatal(err)
+			return cli.ExitErr, err
 		}
 	}
 	if *traceOut != "" {
 		if err := cli.AtomicOutput(fsys, "trace-out", *traceOut, func(w io.Writer) error {
 			return o.Tracer.WriteJSON(w, "node")
 		}); err != nil {
-			fatal(err)
+			return cli.ExitErr, err
 		}
 	}
 
-	tot := res.Sim.TotalProc()
-	ms := res.Machine.TotalStats()
-	ps := res.Machine.Protocol().Stats()
-	ns := res.Machine.Protocol().Fabric().Stats()
-
+	// The deterministic part of the summary is built by the same helper the
+	// service uses, so `vcoma-sim -json` and a vcoma-serve artifact agree
+	// field for field; wall time is stamped on afterwards.
+	sum := experiments.RunSummaryOf(cfg, bench.Name(), scale, res.Layout(), res.Machine, res.Sim)
+	sum.SimSeconds = elapsed.Seconds()
 	if *jsonOut {
-		// The deterministic part of the summary is built by the same helper
-		// the service uses, so `vcoma-sim -json` and a vcoma-serve artifact
-		// agree field for field; wall time is stamped on afterwards.
-		sum := experiments.RunSummaryOf(cfg, bench.Name(), scale, res.Program.Layout(), res.Machine, res.Sim)
-		sum.SimSeconds = elapsed.Seconds()
 		if o != nil {
 			if o.Sampler != nil {
 				ts := o.Sampler.Export()
@@ -152,54 +173,11 @@ func main() {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(sum); err != nil {
-			fatal(err)
+			return cli.ExitErr, err
 		}
-		writeOpLog()
-		cli.LogExit(log, "vcoma-sim", startTime, cli.ExitOK, nil)
-		return
+		return cli.ExitOK, nil
 	}
-
-	fmt.Printf("%s on %v (%d entries, %v), scale %v — simulated in %v\n\n",
-		bench.Name(), scheme, *entries, org, scale, elapsed.Round(time.Millisecond))
-	fmt.Printf("shared data: %.2f MB in %d regions\n", res.SharedMB(), len(res.Layout().Regions()))
-	fmt.Printf("execution time: %d cycles (%.2f ms at 200 MHz)\n\n",
-		res.ExecTime(), float64(res.ExecTime())/200e3)
-
-	total := float64(tot.Total())
-	rows := [][]string{
-		{"busy", fmt.Sprint(tot.Busy / uint64(len(res.Sim.Procs))), pct(float64(tot.Busy), total)},
-		{"sync", fmt.Sprint(tot.Sync / uint64(len(res.Sim.Procs))), pct(float64(tot.Sync), total)},
-		{"loc-stall", fmt.Sprint(tot.StallLocal / uint64(len(res.Sim.Procs))), pct(float64(tot.StallLocal), total)},
-		{"rem-stall", fmt.Sprint(tot.StallRemote / uint64(len(res.Sim.Procs))), pct(float64(tot.StallRemote), total)},
-		{"translation", fmt.Sprint(tot.Trans / uint64(len(res.Sim.Procs))), pct(float64(tot.Trans), total)},
-	}
-	fmt.Println(report.Table([]string{"category", "cycles/proc", "share"}, rows))
-
-	fmt.Printf("references: %d (%.1f%% writes)\n", ms.Refs, 100*float64(ms.Writes)/float64(ms.Refs))
-	fmt.Printf("hits: FLC %.1f%%  SLC %.1f%%  local-AM %.1f%%  remote %.2f%%\n",
-		100*float64(ms.FLCHits)/float64(ms.Refs), 100*float64(ms.SLCHits)/float64(ms.Refs),
-		100*float64(ms.LocalAM)/float64(ms.Refs), 100*float64(ms.Remote)/float64(ms.Refs))
-	if ms.TLBAccesses > 0 {
-		fmt.Printf("TLB: %d accesses, %d misses (%.2f%% of refs)\n",
-			ms.TLBAccesses, ms.TLBMisses, 100*float64(ms.TLBMisses)/float64(ms.Refs))
-	}
-	if scheme == vcoma.VCOMA {
-		var lookups, misses uint64
-		for n := 0; n < cfg.Geometry.Nodes(); n++ {
-			st := res.Machine.Engine(vcoma.Node(n)).Stats()
-			lookups += st.Lookups
-			misses += st.Misses
-		}
-		fmt.Printf("DLB: %d lookups, %d misses (%.4f%% of refs)\n",
-			lookups, misses, 100*float64(misses)/float64(ms.Refs))
-	}
-	fmt.Printf("protocol: %d remote reads, %d upgrades, %d write fetches, %d invalidations\n",
-		ps.RemoteReads, ps.Upgrades, ps.WriteFetches, ps.Invalidations)
-	fmt.Printf("replacement: %d shared drops, %d relocations, %d injections (%d hops), %d swaps\n",
-		ps.SharedDrops, ps.Relocations, ps.Injections, ps.InjectionHops, ps.Swaps)
-	fmt.Printf("network: %d requests, %d blocks, %.1f queue cycles/message\n",
-		ns.Requests, ns.Blocks, float64(ns.QueueCycles)/float64(ns.Requests+ns.Blocks))
-
+	printSummary(sum, elapsed, res.Machine.Protocol().Fabric().Stats())
 	if o != nil {
 		for _, h := range o.Registry.Histograms() {
 			fmt.Printf("\n%s\n", h.Render())
@@ -208,50 +186,60 @@ func main() {
 			fmt.Printf("\ntrace: ring buffer full, %d oldest events dropped\n", tr.Dropped())
 		}
 	}
-
 	if *verbose {
 		fmt.Println("\nper-node references and stalls:")
 		var rows [][]string
-		for n := 0; n < cfg.Geometry.Nodes(); n++ {
-			s := res.Machine.NodeStats(vcoma.Node(n))
-			p := res.Sim.Procs[n]
+		for n, p := range res.Sim.Procs {
 			rows = append(rows, []string{
-				fmt.Sprint(n), fmt.Sprint(s.Refs), fmt.Sprint(p.Busy), fmt.Sprint(p.Sync),
+				fmt.Sprint(n), fmt.Sprint(p.Refs), fmt.Sprint(p.Busy), fmt.Sprint(p.Sync),
 				fmt.Sprint(p.StallLocal), fmt.Sprint(p.StallRemote), fmt.Sprint(p.Trans), fmt.Sprint(p.Finish),
 			})
 		}
 		fmt.Println(report.Table([]string{"node", "refs", "busy", "sync", "loc", "rem", "trans", "finish"}, rows))
 	}
-	writeOpLog()
-	cli.LogExit(log, "vcoma-sim", startTime, cli.ExitOK, nil)
+	return cli.ExitOK, nil
 }
 
-func pct(v, total float64) string { return fmt.Sprintf("%.1f%%", 100*v/total) }
+// printSummary renders the run summary as text; ns adds the network
+// traffic the summary schema leaves out.
+func printSummary(sum report.RunSummary, elapsed time.Duration, ns network.Stats) {
+	fmt.Printf("%s on %s (%d entries, %s), scale %s — simulated in %v\n\n",
+		sum.Benchmark, sum.Scheme, sum.TLBEntries, sum.TLBOrg, sum.Scale, elapsed.Round(time.Millisecond))
+	fmt.Printf("shared data: %.2f MB in %d regions\n", sum.SharedMB, sum.Regions)
+	fmt.Printf("execution time: %d cycles (%.2f ms at 200 MHz)\n\n", sum.ExecCycles, float64(sum.ExecCycles)/200e3)
 
-// runCtx is the signal context once armed; fatal consults it so an
-// interrupted run exits 128+signum per the shared convention. startTime and
-// log feed the final structured line every exit path emits.
+	b := sum.Breakdown
+	var rows [][]string
+	for _, c := range []struct {
+		name   string
+		cycles float64
+	}{{"busy", b.Busy}, {"sync", b.Sync}, {"loc-stall", b.Local}, {"rem-stall", b.Remote}, {"translation", b.Trans}} {
+		rows = append(rows, []string{c.name, fmt.Sprint(uint64(c.cycles)), fmt.Sprintf("%.1f%%", 100*c.cycles/b.Total())})
+	}
+	fmt.Println(report.Table([]string{"category", "cycles/proc", "share"}, rows))
+
+	fmt.Printf("references: %d (%.1f%% writes)\n", sum.Refs, sum.WritePct)
+	fmt.Printf("hits: FLC %.1f%%  SLC %.1f%%  local-AM %.1f%%  remote %.2f%%\n",
+		sum.Hits.FLC, sum.Hits.SLC, sum.Hits.LocalAM, sum.Hits.Remote)
+	if t := sum.TLB; t != nil {
+		fmt.Printf("TLB: %d accesses, %d misses (%.2f%% of refs)\n", t.Accesses, t.Misses, t.MissPctOfRefs)
+	}
+	if d := sum.DLB; d != nil {
+		fmt.Printf("DLB: %d lookups, %d misses (%.4f%% of refs)\n", d.Accesses, d.Misses, d.MissPctOfRefs)
+	}
+	ps := sum.Protocol
+	fmt.Printf("protocol: %d remote reads, %d upgrades, %d write fetches, %d invalidations\n",
+		ps.RemoteReads, ps.Upgrades, ps.WriteFetches, ps.Invalidations)
+	fmt.Printf("replacement: %d shared drops, %d relocations, %d injections (%d hops), %d swaps\n",
+		ps.SharedDrops, ps.Relocations, ps.Injections, ps.InjectionHops, ps.Swaps)
+	fmt.Printf("network: %d requests, %d blocks, %.1f queue cycles/message\n",
+		ns.Requests, ns.Blocks, float64(ns.QueueCycles)/float64(ns.Requests+ns.Blocks))
+}
+
+// startTime and log feed the final structured line every exit path emits;
+// dumpOpLog writes the -fsfault-log op trace once flags are parsed.
 var (
-	runCtx    context.Context
 	startTime = time.Now()
 	log       *slog.Logger
+	dumpOpLog func() error
 )
-
-// dumpOpLog writes the -fsfault-log op trace; set once flags are parsed.
-var dumpOpLog func() error
-
-func writeOpLog() {
-	if dumpOpLog != nil {
-		if err := dumpOpLog(); err != nil {
-			fmt.Fprintf(os.Stderr, "vcoma-sim: fsfault-log: %v\n", err)
-		}
-	}
-}
-
-func fatal(err error) {
-	writeOpLog()
-	fmt.Fprintln(os.Stderr, "vcoma-sim:", err)
-	code := cli.ExitCode(runCtx, err)
-	cli.LogExit(log, "vcoma-sim", startTime, code, err)
-	os.Exit(code)
-}

@@ -129,3 +129,19 @@ func LogExit(l *slog.Logger, prog string, start time.Time, code int, err error) 
 		l.Warn("exit", attrs...)
 	}
 }
+
+// Exit ends a batch command the shared way: it flushes the -fsfault-log op
+// trace (dump may be nil), prints err, emits the final LogExit line and
+// exits with code.
+func Exit(l *slog.Logger, prog string, start time.Time, dump func() error, code int, err error) {
+	if dump != nil {
+		if derr := dump(); derr != nil {
+			fmt.Fprintf(os.Stderr, "%s: fsfault-log: %v\n", prog, derr)
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	}
+	LogExit(l, prog, start, code, err)
+	os.Exit(code)
+}

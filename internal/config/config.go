@@ -97,6 +97,20 @@ func (o TLBOrg) String() string {
 	}
 }
 
+// ParseOrg parses the organization of the paper's evaluation, ignoring
+// case and surrounding space: fa (or empty) for fully associative, dm for
+// direct mapped.
+func ParseOrg(s string) (TLBOrg, error) {
+	switch strings.ToLower(strings.TrimSpace(s)) {
+	case "", "fa":
+		return FullyAssoc, nil
+	case "dm":
+		return DirectMapped, nil
+	default:
+		return 0, fmt.Errorf("unknown TLB organization %q (want fa or dm)", s)
+	}
+}
+
 // CacheConfig describes one level of the processor cache hierarchy.
 type CacheConfig struct {
 	SizeBytes  uint64 // total capacity

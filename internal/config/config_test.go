@@ -153,6 +153,25 @@ func TestSchemeStrings(t *testing.T) {
 	}
 }
 
+func TestParseOrg(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want TLBOrg
+		ok   bool
+	}{
+		{"", FullyAssoc, true},
+		{"fa", FullyAssoc, true},
+		{"DM", DirectMapped, true},
+		{" dm ", DirectMapped, true},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseOrg(tc.in)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseOrg(%q) = %v, %v; want %v (ok=%v)", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestParseScheme(t *testing.T) {
 	for in, want := range map[string]Scheme{
 		"l0": L0TLB, "l0-tlb": L0TLB, "l1": L1TLB, "l1-tlb": L1TLB,

@@ -107,6 +107,59 @@ func ConfigForScale(cfg config.Config, scale workload.Scale) config.Config {
 	return cfg
 }
 
+// Cell names one simulation the way the front ends spell it: vcoma-sim's
+// flags and vcoma-serve's requests both resolve through Cell.Resolve, so a
+// spelling simulates the same machine whichever front end it reaches.
+type Cell struct {
+	// Bench is a benchmark name (case-insensitive); Scheme, Scale and Org
+	// are parsed by config.ParseScheme, workload.ParseScale and
+	// config.ParseOrg.
+	Bench, Scheme, Scale, Org string
+	// TLB is the TLB/DLB entry count; 0 keeps the baseline's.
+	TLB int
+	// Seed overrides the baseline seed when nonzero.
+	Seed uint64
+}
+
+// Resolve validates the cell and assembles its inputs: the baseline
+// machine with its attraction memory scaled to the workload
+// (ConfigForScale), the scheme, TLB and seed overrides, and the benchmark.
+// The configuration goes through config.Validate.
+func (c Cell) Resolve() (config.Config, workload.Benchmark, workload.Scale, error) {
+	fail := func(err error) (config.Config, workload.Benchmark, workload.Scale, error) {
+		return config.Config{}, nil, 0, err
+	}
+	scale, err := workload.ParseScale(c.Scale)
+	if err != nil {
+		return fail(err)
+	}
+	scheme, err := config.ParseScheme(c.Scheme)
+	if err != nil {
+		return fail(err)
+	}
+	org, err := config.ParseOrg(c.Org)
+	if err != nil {
+		return fail(err)
+	}
+	bench, err := workload.ByName(strings.ToUpper(strings.TrimSpace(c.Bench)), scale)
+	if err != nil {
+		return fail(err)
+	}
+	cfg := ConfigForScale(config.Baseline(), scale).WithScheme(scheme)
+	entries := cfg.TLBEntries
+	if c.TLB != 0 {
+		entries = c.TLB
+	}
+	cfg = cfg.WithTLB(entries, org)
+	if c.Seed != 0 {
+		cfg.Seed = c.Seed
+	}
+	if err := cfg.Validate(); err != nil {
+		return fail(err)
+	}
+	return cfg, bench, scale, nil
+}
+
 func (s *Suite) names() []string {
 	if len(s.Benchmarks) > 0 {
 		return s.Benchmarks

@@ -117,43 +117,20 @@ func (s Spec) Key() runner.Key {
 }
 
 // Resolve validates a wire request and assembles the simulation spec. The
-// configuration goes through config.Validate, so a malformed request is
-// rejected at the API boundary with the same diagnostics the CLIs print.
+// cell resolves through experiments.Cell, the resolver vcoma-sim's flags
+// use too, so a malformed request is rejected at the API boundary with the
+// same diagnostics the CLIs print.
 func (r Request) Resolve() (Spec, error) {
-	scale, err := workload.ParseScale(r.Scale)
+	cfg, bench, scale, err := experiments.Cell{
+		Bench: r.Bench, Scheme: r.Scheme, Scale: r.Scale, Org: r.Org, TLB: r.TLB, Seed: r.Seed,
+	}.Resolve()
 	if err != nil {
 		return Spec{}, fmt.Errorf("serve: %w", err)
-	}
-	scheme, err := config.ParseScheme(r.Scheme)
-	if err != nil {
-		return Spec{}, fmt.Errorf("serve: %w", err)
-	}
-	org, err := parseOrg(r.Org)
-	if err != nil {
-		return Spec{}, err
 	}
 	prio, err := ParsePriority(r.Priority)
 	if err != nil {
 		return Spec{}, err
 	}
-	bench, err := workload.ByName(strings.ToUpper(strings.TrimSpace(r.Bench)), scale)
-	if err != nil {
-		return Spec{}, err
-	}
-
-	cfg := experiments.ConfigForScale(config.Baseline(), scale).WithScheme(scheme)
-	entries := cfg.TLBEntries
-	if r.TLB != 0 {
-		entries = r.TLB
-	}
-	cfg = cfg.WithTLB(entries, org)
-	if r.Seed != 0 {
-		cfg.Seed = r.Seed
-	}
-	if err := cfg.Validate(); err != nil {
-		return Spec{}, err
-	}
-
 	tenant := strings.TrimSpace(r.Tenant)
 	if tenant == "" {
 		tenant = "anon"
@@ -165,15 +142,4 @@ func (r Request) Resolve() (Spec, error) {
 // journal records and chaos matchers all see the same identity.
 func (s Spec) Name() string {
 	return fmt.Sprintf("serve/%s/%s/%s/%d%s", s.Bench.Name(), s.Config.Scheme, s.Scale, s.Config.TLBEntries, s.Config.TLBOrg)
-}
-
-func parseOrg(s string) (config.TLBOrg, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "fa":
-		return config.FullyAssoc, nil
-	case "dm":
-		return config.DirectMapped, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown TLB organization %q (want fa or dm)", s)
-	}
 }

@@ -383,6 +383,13 @@ func (e *Engine) Run() (Result, error) {
 	if err := e.runLoop(); err != nil {
 		return Result{}, err
 	}
+	// A stream that failed ended its processor early; that, not the
+	// deadlock it usually leaves behind, is the diagnosis.
+	for i := range e.procs {
+		if f, ok := e.procs[i].stream.(trace.Failer); ok && f.Err() != nil {
+			return Result{}, fmt.Errorf("sim: proc %d: %w", i, f.Err())
+		}
+	}
 	if !e.allDone() {
 		return Result{}, e.deadlockError()
 	}

@@ -15,7 +15,7 @@ import (
 // lets users feed their own traces to the machine without writing a
 // generator.
 //
-// Format: a 12-byte header ("VCOMATRACE" + version), then one record per
+// Format: an 8-byte header ("VCOMATR" + a version byte), then one record per
 // event: a kind byte followed by a varint payload (address for memory
 // events, cycles for compute, id for synchronization events).
 
@@ -24,53 +24,26 @@ const (
 	traceVersion = 1
 )
 
-// Recorder wraps a Stream, copying every event to a writer as it is
-// consumed. Close the recorder (not just the underlying stream) to flush.
-type Recorder struct {
-	inner Stream
-	w     *bufio.Writer
-	err   error
-	count uint64
-}
-
-// NewRecorder returns a stream that records everything read through it.
-func NewRecorder(inner Stream, w io.Writer) (*Recorder, error) {
+// Record drains s into w in the recorded format and returns the number of
+// events written. s is closed on return.
+func Record(w io.Writer, s Stream) (uint64, error) {
+	defer CloseStream(s)
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return nil, err
-	}
+	bw.WriteString(traceMagic) // a failed write sticks: WriteByte reports it
 	if err := bw.WriteByte(traceVersion); err != nil {
-		return nil, err
+		return 0, err
 	}
-	return &Recorder{inner: inner, w: bw}, nil
-}
-
-// Next implements Stream.
-func (r *Recorder) Next() (Event, bool) {
-	ev, ok := r.inner.Next()
-	if !ok {
-		return ev, false
-	}
-	if r.err == nil {
-		r.err = writeEvent(r.w, ev)
-		if r.err == nil {
-			r.count++
+	n := uint64(0)
+	for {
+		ev, ok := s.Next()
+		if !ok {
+			return n, bw.Flush()
 		}
+		if err := writeEvent(bw, ev); err != nil {
+			return n, err
+		}
+		n++
 	}
-	return ev, true
-}
-
-// Count returns how many events have been recorded.
-func (r *Recorder) Count() uint64 { return r.count }
-
-// Close flushes the recording and releases the inner stream. It reports
-// any write error encountered during recording.
-func (r *Recorder) Close() error {
-	CloseStream(r.inner)
-	if r.err != nil {
-		return r.err
-	}
-	return r.w.Flush()
 }
 
 func writeEvent(w *bufio.Writer, ev Event) error {

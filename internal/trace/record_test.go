@@ -19,16 +19,12 @@ func TestRecordReplayRoundTrip(t *testing.T) {
 		{Kind: Barrier, ID: 3},
 	}
 	var buf bytes.Buffer
-	rec, err := NewRecorder(NewSliceStream(events), &buf)
+	n, err := Record(&buf, NewSliceStream(events))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := Drain(rec)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) || rec.Count() != uint64(len(events)) {
-		t.Fatalf("recorder passed %d events, counted %d", len(got), rec.Count())
+	if n != uint64(len(events)) {
+		t.Fatalf("wrote %d of %d events", n, len(events))
 	}
 
 	rd, err := NewReader(&buf)
@@ -71,12 +67,7 @@ func TestRecordReplayProperty(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		rec, err := NewRecorder(NewSliceStream(events), &buf)
-		if err != nil {
-			return false
-		}
-		Drain(rec)
-		if rec.Close() != nil {
+		if _, err := Record(&buf, NewSliceStream(events)); err != nil {
 			return false
 		}
 		rd, err := NewReader(&buf)
@@ -113,9 +104,9 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestReaderTruncatedEvent(t *testing.T) {
 	var buf bytes.Buffer
-	rec, _ := NewRecorder(NewSliceStream([]Event{{Kind: Read, Addr: 0xFFFFFFFF}}), &buf)
-	Drain(rec)
-	rec.Close()
+	if _, err := Record(&buf, NewSliceStream([]Event{{Kind: Read, Addr: 0xFFFFFFFF}})); err != nil {
+		t.Fatal(err)
+	}
 	full := buf.Bytes()
 	rd, err := NewReader(bytes.NewReader(full[:len(full)-1]))
 	if err != nil {

@@ -87,6 +87,12 @@ func CloseStream(s Stream) {
 	}
 }
 
+// Failer is implemented by streams that can end early on an error (a
+// recorded trace that fails to decode); a clean end is a nil Err.
+type Failer interface {
+	Err() error
+}
+
 // SliceStream replays a pre-built event slice.
 type SliceStream struct {
 	events []Event

@@ -32,18 +32,20 @@ type Benchmark interface {
 }
 
 // Program is a built workload: a shared-memory layout plus one event
-// program per processor.
+// stream source per processor — a generator, or a recorded trace file.
 type Program struct {
 	name   string
 	layout *vm.Layout
 	procs  int
-	gen    func(p int) func(*trace.Emitter)
+	stream func(p int) trace.Stream
 }
 
-// NewProgram assembles a Program. gen must return an independent program
-// function for each processor in [0, procs).
+// NewProgram assembles a generated Program. gen must return an independent
+// program function for each processor in [0, procs).
 func NewProgram(name string, layout *vm.Layout, procs int, gen func(p int) func(*trace.Emitter)) *Program {
-	return &Program{name: name, layout: layout, procs: procs, gen: gen}
+	return &Program{name: name, layout: layout, procs: procs, stream: func(p int) trace.Stream {
+		return trace.NewGenerator(gen(p))
+	}}
 }
 
 // Name returns the benchmark name.
@@ -57,11 +59,12 @@ func (pr *Program) Layout() *vm.Layout { return pr.layout }
 func (pr *Program) Procs() int { return pr.procs }
 
 // Streams returns fresh event streams, one per processor. Each call starts
-// new generators, so a Program can be run any number of times.
+// new generators (or reopens the recorded files), so a Program can be run
+// any number of times.
 func (pr *Program) Streams() []trace.Stream {
 	out := make([]trace.Stream, pr.procs)
-	for p := 0; p < pr.procs; p++ {
-		out[p] = trace.NewGenerator(pr.gen(p))
+	for p := range out {
+		out[p] = pr.stream(p)
 	}
 	return out
 }

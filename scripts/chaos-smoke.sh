@@ -16,8 +16,9 @@ cd "$work"
 
 echo "== unknown report sections are rejected"
 rc=0
-bin/vcoma-report -only bogus -no-cache > /dev/null 2>&1 || rc=$?
+bin/vcoma-report -only bogus -no-cache > /dev/null 2> bogus.err || rc=$?
 test "$rc" -eq 1 || { echo "FAIL: -only bogus exited $rc, want 1" >&2; exit 1; }
+grep -q 'error=' bogus.err || { echo "FAIL: -only bogus exit line carries no error=" >&2; cat bogus.err >&2; exit 1; }
 
 echo "== reference: uninterrupted run"
 bin/vcoma-report -only table2 -scale test -cache cache-ref > ref.out 2> /dev/null
