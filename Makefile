@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke crashsim bench-snapshot bench-snapshot-core perf-gate clean
+.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke crashsim perf-gate clean
 
 all: check
 
@@ -66,35 +66,18 @@ crashsim:
 	$(GO) test ./internal/fsio/... -count=1
 	$(GO) test ./internal/runner/ ./internal/serve/ -run 'CrashSweep|Torn' -count=1
 
-# Refresh BENCH_serve.json: service-path latencies (cold submit, warm store
-# hit, coalesced burst) measured at test scale.
-bench-snapshot:
-	$(GO) run ./scripts/benchsnapshot > BENCH_serve.json
-	cat BENCH_serve.json
-
-# Refresh BENCH_core.json: simulator-core hot paths (end-to-end engine per
-# scheme, TLB access, SLC read, trace generator) via testing.Benchmark.
-# Compare snapshots with `go run ./scripts/benchdiff old.json new.json`
-# (±10% regression threshold by default).
-bench-snapshot-core:
-	$(GO) run ./scripts/benchcore > BENCH_core.json
-	cat BENCH_core.json
-
-# Perf gate: re-measure the core hot paths and fail on a >10% ns_op
-# regression of the sim_run_* / tlb_access_* scenarios against the committed
-# BENCH_core.json. Other scenarios (cache_read, generator_throughput) are
-# printed but advisory. After an intentional perf change, refresh the
-# baseline with `make bench-snapshot-core` and commit it.
+# Perf gate: the benchmark (BENCHMARK.json, perfbench/) on the merge-base
+# with origin/main and on the working tree, four alternating pairs per
+# workload on this host; fails on a broken change run or an end-to-end
+# regression beyond its bound in most pairs (see scripts/benchgate).
 perf-gate:
-	$(GO) run ./scripts/benchcore > BENCH_core.new.json
-	$(GO) run ./scripts/benchdiff -only '^(sim_run_|tlb_access_)' BENCH_core.json BENCH_core.new.json
-	rm -f BENCH_core.new.json
+	$(GO) run ./scripts/benchgate origin/main
 
 # The full local gate: what CI runs, minus the long benchmark artifacts.
 check: vet build
 	$(GO) test -race ./...
 	mkdir -p fuzz-artifacts
-	$(GO) run ./cmd/vcoma-check -seeds 200 -budget 60s -artifacts fuzz-artifacts
+	$(GO) run ./cmd/vcoma-check -seeds 32000 -budget 60s -artifacts fuzz-artifacts
 	$(GO) run ./cmd/vcoma-check -seeds 30 -diff -budget 60s -artifacts fuzz-artifacts
 
 clean:

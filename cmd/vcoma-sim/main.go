@@ -7,7 +7,8 @@
 // -record DIR writes the cell's reference streams to a trace directory
 // instead of simulating; -replay DIR runs a recorded trace in place of
 // -bench, on the machine the other flags describe, with every output the
-// live run has. Replay on the -scale it was recorded at.
+// live run has. A replay runs at the scale the trace was recorded at; a
+// -scale that names another is an error.
 //
 // Examples:
 //
@@ -15,7 +16,7 @@
 //	vcoma-sim -bench FFT -scheme l0 -tlb 16 -org dm -scale test
 //	vcoma-sim -bench OCEAN -scheme vcoma -json | jq .breakdown
 //	vcoma-sim -record /tmp/radix -bench RADIX -scale test
-//	vcoma-sim -replay /tmp/radix -scale test -scheme l0 -v
+//	vcoma-sim -replay /tmp/radix -scheme l0 -v
 package main
 
 import (
@@ -87,19 +88,32 @@ func run() (int, error) {
 	}
 	dumpOpLog = fsDump
 
-	cfg, bench, scale, err := cellOf().Resolve()
+	if *recordDir != "" && *replayDir != "" {
+		return cli.ExitErr, errors.New("-record and -replay are exclusive")
+	}
+	cell := cellOf()
+	if *replayDir != "" {
+		recorded, err := workload.RecordedScale(*replayDir)
+		if err != nil {
+			return cli.ExitErr, err
+		}
+		set := false
+		flag.Visit(func(f *flag.Flag) { set = set || f.Name == "scale" })
+		if s, err := workload.ParseScale(cell.Scale); set && (err != nil || s != recorded) {
+			return cli.ExitErr, fmt.Errorf("-scale %s, but %s was recorded at scale %s", cell.Scale, *replayDir, recorded)
+		}
+		cell.Scale = recorded.String()
+	}
+	cfg, bench, scale, err := cell.Resolve()
 	if err != nil {
 		return cli.ExitErr, err
 	}
 	if *recordDir != "" {
-		if *replayDir != "" {
-			return cli.ExitErr, errors.New("-record and -replay are exclusive")
-		}
 		prog, err := bench.Build(cfg.Geometry, cfg.Geometry.Nodes())
 		if err != nil {
 			return cli.ExitErr, err
 		}
-		n, err := workload.Record(prog, *recordDir, fsys)
+		n, err := workload.Record(prog, scale, *recordDir, fsys)
 		if err != nil {
 			return cli.ExitErr, err
 		}

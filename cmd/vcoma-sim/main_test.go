@@ -1,16 +1,63 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"os/exec"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vcoma/internal/config"
 	"vcoma/internal/runner"
 	"vcoma/internal/serve"
 )
+
+// TestMain runs the command itself when a test re-executes the test binary
+// with VCOMA_SIM_MAIN set.
+func TestMain(m *testing.M) {
+	if os.Getenv("VCOMA_SIM_MAIN") != "" {
+		main()
+	}
+	os.Exit(m.Run())
+}
+
+// vcomaSim runs the command with args and returns its output and error.
+func vcomaSim(t *testing.T, args ...string) (string, error) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VCOMA_SIM_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// TestReplayRunsAtTheRecordedScale: a replay with no -scale runs at the
+// scale the trace was recorded at, reproducing the live run's cycles
+// (TestReplayIdentity's pin for RADIX under V-COMA), and a -scale that
+// names another scale fails.
+func TestReplayRunsAtTheRecordedScale(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := vcomaSim(t, "-bench", "RADIX", "-scale", "test", "-record", dir); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	out, err := vcomaSim(t, "-replay", dir)
+	if err != nil {
+		t.Fatalf("replay: %v\n%s", err, out)
+	}
+	for _, want := range []string{"scale test", "execution time: 603780 cycles"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("replay output lacks %q:\n%s", want, out)
+		}
+	}
+	out, err = vcomaSim(t, "-replay", dir, "-scale", "small")
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(out, "-scale small, but "+dir+" was recorded at scale test") {
+		t.Errorf("replay at -scale small: %v, want exit 1 naming both scales:\n%s", err, out)
+	}
+}
 
 // flagCell parses args the way vcoma-sim's command line does and resolves
 // the cell they name, keyed as vcoma-serve keys a request.

@@ -72,9 +72,7 @@ func compareCycleGolden(t *testing.T, name, got string) {
 }
 
 // TestCycleIdentityRadix runs the paper-machine RADIX workload at test scale
-// under all five schemes and compares against the recorded goldens — the
-// same configuration scripts/benchcore measures, so the perf trajectory and
-// the correctness pin cover the identical path.
+// under all five schemes and compares against the recorded goldens.
 func TestCycleIdentityRadix(t *testing.T) {
 	cfg := experiments.ConfigForScale(Baseline(), ScaleTest)
 	var b strings.Builder

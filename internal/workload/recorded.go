@@ -12,7 +12,8 @@ import (
 	"vcoma/internal/vm"
 )
 
-// A trace directory holds one recorded Program: layout.txt lists the shared
+// A trace directory holds one recorded Program: layout.txt names the scale
+// it was recorded at on its first line, "scale NAME", then lists the shared
 // regions needed to preload it, one "name base bytes" line each, and
 // procNNN.vct holds processor NNN's event stream in the trace package's
 // binary format. Record writes one; Recorded replays it as a Benchmark.
@@ -22,13 +23,14 @@ func procFile(dir string, p int) string {
 	return filepath.Join(dir, fmt.Sprintf("proc%03d.vct", p))
 }
 
-// Record drains prog's streams into a trace directory at dir through fs
-// (nil = plain durable I/O) and returns the number of events written.
-func Record(prog *Program, dir string, fs *fsio.FS) (uint64, error) {
+// Record drains prog, built at scale, into a trace directory at dir through
+// fs (nil = plain durable I/O) and returns the number of events written.
+func Record(prog *Program, scale Scale, dir string, fs *fsio.FS) (uint64, error) {
 	if err := fs.MkdirAll("record", dir); err != nil {
 		return 0, err
 	}
 	var lay strings.Builder
+	fmt.Fprintf(&lay, "scale %s\n", scale)
 	for _, r := range prog.Layout().Regions() {
 		fmt.Fprintf(&lay, "%s %d %d\n", r.Name, uint64(r.Base), r.Bytes)
 	}
@@ -70,18 +72,41 @@ func recordStream(s trace.Stream, path string, fs *fsio.FS) (uint64, error) {
 // decode mid-run reports its file name through the engine.
 func Recorded(dir string) Benchmark { return recorded(dir) }
 
+// RecordedScale returns the scale the trace directory at dir was recorded
+// at: the scale its machine must be sized for.
+func RecordedScale(dir string) (Scale, error) {
+	s, _, err := readLayout(dir)
+	return s, err
+}
+
+// readLayout returns the recorded scale and the region lines of dir's
+// layout file.
+func readLayout(dir string) (Scale, []string, error) {
+	raw, err := os.ReadFile(filepath.Join(dir, layoutFile))
+	if err != nil {
+		return 0, nil, err
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	name, _ := strings.CutPrefix(lines[0], "scale ")
+	s, err := ParseScale(name)
+	if err != nil {
+		return 0, nil, fmt.Errorf("workload: %s records no scale (%w); record it again", dir, err)
+	}
+	return s, lines[1:], nil
+}
+
 type recorded string
 
 func (r recorded) Name() string { return string(r) }
 
 func (r recorded) Build(g addr.Geometry, procs int) (*Program, error) {
 	dir := string(r)
-	raw, err := os.ReadFile(filepath.Join(dir, layoutFile))
+	_, lines, err := readLayout(dir)
 	if err != nil {
 		return nil, err
 	}
 	var regions []vm.Region
-	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+	for _, line := range lines {
 		var name string
 		var base, size uint64
 		if _, err := fmt.Sscanf(line, "%s %d %d", &name, &base, &size); err != nil {

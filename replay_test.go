@@ -26,7 +26,7 @@ func record(t *testing.T, name string) string {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if _, err := workload.Record(prog, dir, nil); err != nil {
+	if _, err := workload.Record(prog, ScaleTest, dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	return dir
