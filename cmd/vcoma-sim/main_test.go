@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -56,6 +57,25 @@ func TestReplayRunsAtTheRecordedScale(t *testing.T) {
 	var ee *exec.ExitError
 	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(out, "-scale small, but "+dir+" was recorded at scale test") {
 		t.Errorf("replay at -scale small: %v, want exit 1 naming both scales:\n%s", err, out)
+	}
+}
+
+// TestReplayRefusesOversizedLayout: a trace directory is untrusted input,
+// so a layout.txt claiming a 1 PiB region fails with an error and exit 1
+// instead of allocating until the host runs out.
+func TestReplayRefusesOversizedLayout(t *testing.T) {
+	dir := t.TempDir()
+	if out, err := vcomaSim(t, "-bench", "RADIX", "-scale", "test", "-record", dir); err != nil {
+		t.Fatalf("record: %v\n%s", err, out)
+	}
+	layout := "scale test\nx 1048576 1125899906842624\n"
+	if err := os.WriteFile(filepath.Join(dir, "layout.txt"), []byte(layout), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := vcomaSim(t, "-replay", dir)
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 1 || !strings.Contains(out, "the machine holds") {
+		t.Errorf("replay of a 1 PiB layout: %v, want exit 1 naming the bound:\n%s", err, out)
 	}
 }
 

@@ -50,8 +50,8 @@ func (p *Plan) Jobs() []runner.Job { return p.jobs }
 func (p *Plan) Key() runner.Key { return runner.PlanKey(p.jobs) }
 
 // ApplyChaos wraps every planned job with c's fault injections; nil is a
-// no-op. Job names, keys and dependencies are untouched, so cache and
-// journal identity survive the wrapping. Testing and the -chaos flag only.
+// no-op. Job names and keys are untouched, so cache and journal identity
+// survive the wrapping. Testing and the -chaos flag only.
 func (p *Plan) ApplyChaos(c *runner.Chaos) {
 	if c != nil {
 		p.jobs = c.Wrap(p.jobs)

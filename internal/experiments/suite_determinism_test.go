@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"vcoma/internal/config"
+	"vcoma/internal/runner"
 	"vcoma/internal/workload"
 )
 
@@ -44,5 +45,30 @@ func TestSuiteDeterministicAcrossWorkersAndCache(t *testing.T) {
 	}
 	if hits == 0 {
 		t.Error("second cached run recomputed everything: no cache hits")
+	}
+}
+
+// Table 4 and Figure 10 share their 8-entry TLB and DLB cells by key, so
+// even without a cache the default test-scale plan computes each distinct
+// key once and serves the twins as cache hits.
+func TestSuiteComputesEachKeyOnce(t *testing.T) {
+	s := &Suite{Cfg: config.Baseline(), Scale: workload.ScaleTest, Jobs: 2}
+	plan, err := s.Plan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[runner.Key]bool)
+	for _, j := range plan.Jobs() {
+		keys[j.Key] = true
+	}
+	if len(plan.Jobs()) != 90 || len(keys) != 78 {
+		t.Fatalf("plan has %d jobs and %d keys, want 90 and 78", len(plan.Jobs()), len(keys))
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CacheHits != 12 {
+		t.Fatalf("%d of 90 passes were cache hits, want the 12 repeated keys", res.CacheHits)
 	}
 }

@@ -242,8 +242,8 @@ func (m *Machine) flushPageVirtual(o addr.Node, v addr.Virtual) int {
 
 // CheckProtection verifies an access against v's page protection without
 // performing it, returning an error on a violation. The timed Access path
-// does not check (the workloads never violate); management tests and the
-// protection example use this entry point.
+// does not check (the workloads never violate); management tests use this
+// entry point.
 func (m *Machine) CheckProtection(v addr.Virtual, write bool) error {
 	want := vm.ProtRead
 	if write {

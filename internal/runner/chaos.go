@@ -155,8 +155,8 @@ func (c *Chaos) BindCancel(cancel context.CancelCauseFunc) {
 }
 
 // Wrap returns the plan with every execution fault woven into the matching
-// jobs' run functions. Names, keys and dependencies are untouched, so
-// cache identity and report assembly are exactly those of a healthy run.
+// jobs' run functions. Names and keys are untouched, so cache identity and
+// report assembly are exactly those of a healthy run.
 // A nil Chaos returns jobs unchanged.
 func (c *Chaos) Wrap(jobs []Job) []Job {
 	if c == nil {

@@ -1,17 +1,17 @@
-// Package runner is a generic parallel experiment scheduler: it takes a DAG
-// of named simulation jobs, executes them on a bounded worker pool, and
-// layers three cross-cutting services over the execution — a
+// Package runner is a generic parallel experiment scheduler: it takes a list
+// of named simulation jobs, executes them in list order on a bounded worker
+// pool, and layers three cross-cutting services over the execution — a
 // content-addressed on-disk result cache (Cache), robustness (per-job panic
 // recovery, context cancellation, fail-fast or collect-all error policies),
 // and observability (a Progress reporter with per-job wall times, cache-hit
 // counts and an ETA).
 //
 // Jobs are pure functions keyed by a deterministic content hash of their
-// inputs (KeyOf), so results are position-independent: the same suite
-// produces byte-identical reports at any worker count and from any cache
-// state. The experiment harness (internal/experiments) enumerates the
-// paper's evaluation grid as runner jobs; cmd/vcoma-report executes them
-// through this package.
+// inputs (KeyOf), so results are position-independent: jobs with equal keys
+// compute once per run, and the same suite produces byte-identical reports
+// at any worker count and from any cache state. The experiment harness
+// (internal/experiments) enumerates the paper's evaluation grid as runner
+// jobs; cmd/vcoma-report executes them through this package.
 package runner
 
 import (
@@ -34,10 +34,9 @@ type Job struct {
 	// progress output and results.
 	Name string
 	// Key is the content hash of the job's inputs. Jobs with equal keys
-	// compute equal results and share cache entries. Empty = uncacheable.
+	// compute equal results of one type: they run once per Run and share
+	// cache entries. Empty = uncacheable, always runs.
 	Key Key
-	// Deps names jobs that must succeed before this one starts.
-	Deps []string
 
 	run    func(context.Context) (any, error)
 	decode func(json.RawMessage) (any, error)
@@ -71,8 +70,8 @@ const (
 	// FailFast cancels the whole run at the first job error; queued jobs
 	// are skipped and Run returns that first error.
 	FailFast Policy = iota
-	// CollectAll keeps running every job whose dependencies succeeded and
-	// returns the joined errors at the end.
+	// CollectAll keeps running every job and returns the joined errors at
+	// the end.
 	CollectAll
 )
 
@@ -140,10 +139,11 @@ type Result struct {
 	// computed or decoded from the cache.
 	Value any
 	Err   error
-	// Cached reports that Value was served from the cache.
+	// Cached reports that Value was served from the cache, or taken from
+	// an earlier job of the same key in this run.
 	Cached bool
-	// Skipped reports that the job never ran (failed dependency or
-	// cancelled run); Err carries the reason.
+	// Skipped reports that the job never ran (cancelled run); Err carries
+	// the reason.
 	Skipped bool
 	// Wall is the job's observed wall time (≈0 for cache hits and skips).
 	Wall time.Duration
@@ -196,51 +196,32 @@ func (e *PanicError) Error() string {
 // ErrSkipped is wrapped into the Err of jobs that never ran.
 var ErrSkipped = errors.New("job skipped")
 
-// jobState tracks one job through the scheduler.
-type jobState struct {
-	job     *Job
-	waiting int      // unfinished dependencies
-	deps    []string // resolved dependency names
-}
-
-// Run executes the job DAG and returns every job's result. The returned
-// error is nil only if every job succeeded; under FailFast it is the first
-// job error, under CollectAll the join of all of them. The Jobs map is
-// complete in either case (failed and skipped jobs carry their Err), so
-// callers can render partial results.
+// Run executes the jobs on a bounded worker pool, dispatching them in slice
+// order, and returns every job's result. Jobs that share a non-empty Key
+// compute once: only the first is dispatched; if it succeeds, each later job
+// of that key takes its Value as a cache hit, and if it fails, the next job
+// of that key runs in its place. The returned error is nil only if every job
+// succeeded; under FailFast it is the first job error, under CollectAll the
+// join of all of them. The Jobs map is complete in either case (failed and
+// skipped jobs carry their Err), so callers can render partial results.
 func Run(ctx context.Context, jobs []Job, opt Options) (*RunResult, error) {
 	start := time.Now()
-	states := make(map[string]*jobState, len(jobs))
-	dependents := make(map[string][]string)
-	for i := range jobs {
-		j := &jobs[i]
+	names := make(map[string]bool, len(jobs))
+	for i, j := range jobs {
 		if j.Name == "" || j.run == nil {
 			return nil, fmt.Errorf("runner: job %d is invalid (empty name or not built with New)", i)
 		}
-		if _, dup := states[j.Name]; dup {
+		if names[j.Name] {
 			return nil, fmt.Errorf("runner: duplicate job name %q", j.Name)
 		}
-		states[j.Name] = &jobState{job: j, waiting: len(j.Deps), deps: j.Deps}
-	}
-	for _, j := range jobs {
-		for _, d := range j.Deps {
-			if _, ok := states[d]; !ok {
-				return nil, fmt.Errorf("runner: job %q depends on unknown job %q", j.Name, d)
-			}
-			dependents[d] = append(dependents[d], j.Name)
-		}
-	}
-	if err := checkAcyclic(states, dependents); err != nil {
-		return nil, err
+		names[j.Name] = true
 	}
 
 	workers := opt.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(jobs) && len(jobs) > 0 {
-		workers = len(jobs)
-	}
+	workers = min(workers, len(jobs))
 	if opt.Progress != nil {
 		opt.Progress.begin(len(jobs))
 	}
@@ -249,132 +230,96 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*RunResult, error) {
 	defer cancel()
 
 	var (
-		mu        sync.Mutex
-		results   = make(map[string]Result, len(jobs))
-		remaining = len(jobs)
-		firstErr  error
-		ready     = make(chan *Job, len(jobs))
-		closed    bool
+		mu       sync.Mutex
+		results  = make(map[string]Result, len(jobs))
+		firstErr error
+		// waiting holds, for each key whose first job is queued or running,
+		// the later jobs of that key in slice order.
+		waiting = make(map[Key][]*Job)
+		ready   = make(chan *Job, len(jobs))
 	)
-	closeReady := func() { // with mu held
-		if !closed {
-			closed = true
-			close(ready)
-		}
-	}
-	// finish records a result and releases or skips dependents. Skip
-	// cascades are handled iteratively with a local queue to keep the
-	// critical section simple.
-	finish := func(r Result) {
-		mu.Lock()
-		queue := []Result{r}
-		for len(queue) > 0 {
-			res := queue[0]
-			queue = queue[1:]
-			if _, done := results[res.Name]; done {
+	for i := range jobs {
+		j := &jobs[i]
+		if j.Key != "" {
+			if q, ok := waiting[j.Key]; ok {
+				waiting[j.Key] = append(q, j)
 				continue
 			}
-			results[res.Name] = res
-			remaining--
-			if opt.Journal != nil && !res.Skipped {
-				opt.Journal.record(res)
-			}
-			if res.Err != nil && !res.Skipped && firstErr == nil {
-				firstErr = res.Err
-				if opt.Policy == FailFast {
-					cancel()
-				}
-			}
-			for _, depName := range dependents[res.Name] {
-				if _, done := results[depName]; done {
-					continue // already skipped via another failed dependency
-				}
-				ds := states[depName]
-				ds.waiting--
-				if res.Err != nil {
-					queue = append(queue, Result{
-						Name:    depName,
-						Err:     fmt.Errorf("%w: dependency %s failed: %v", ErrSkipped, res.Name, res.Err),
-						Skipped: true,
-					})
-				} else if ds.waiting == 0 {
-					ready <- ds.job
-				}
-			}
-			if opt.Progress != nil {
-				opt.Progress.observe(res)
-			}
+			waiting[j.Key] = nil
 		}
-		if remaining == 0 {
-			closeReady()
-		}
-		mu.Unlock()
+		ready <- j
 	}
+	close(ready)
 
-	// Seed the pool with dependency-free jobs.
-	mu.Lock()
-	seeded := false
-	for _, st := range states {
-		if st.waiting == 0 {
-			ready <- st.job
-			seeded = true
+	// record stores, journals and reports one result; mu must be held.
+	record := func(r Result) {
+		results[r.Name] = r
+		if opt.Journal != nil && !r.Skipped {
+			opt.Journal.record(r)
+		}
+		if r.Err != nil && !r.Skipped && firstErr == nil {
+			firstErr = r.Err
+			if opt.Policy == FailFast {
+				cancel()
+			}
+		}
+		if opt.Progress != nil {
+			opt.Progress.observe(r)
 		}
 	}
-	if len(jobs) == 0 {
-		closeReady()
-	} else if !seeded {
-		mu.Unlock()
-		return nil, errors.New("runner: no runnable jobs (dependency deadlock)")
+	// settle records j's result and settles the jobs waiting on its key. It
+	// returns the job this worker runs next: after a failure or skip, the
+	// next waiting job of the key (failures are never shared); otherwise nil.
+	settle := func(j *Job, r Result) *Job {
+		mu.Lock()
+		defer mu.Unlock()
+		record(r)
+		q := waiting[j.Key]
+		if len(q) == 0 {
+			return nil
+		}
+		if r.Err != nil {
+			waiting[j.Key] = q[1:]
+			return q[0]
+		}
+		for _, f := range q {
+			record(Result{Name: f.Name, Value: r.Value, Cached: true})
+		}
+		return nil
 	}
-	mu.Unlock()
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case j, ok := <-ready:
-					if !ok {
-						return
-					}
+			for j := range ready {
+				for j != nil {
+					var r Result
 					if ctx.Err() != nil {
-						finish(Result{Name: j.Name, Err: fmt.Errorf("%w: %v", ErrSkipped, ctx.Err()), Skipped: true})
-						continue
+						r = Result{Name: j.Name, Err: fmt.Errorf("%w: %v", ErrSkipped, context.Cause(ctx)), Skipped: true}
+					} else {
+						r = execute(ctx, j, opt)
 					}
-					finish(execute(ctx, j, opt))
+					j = settle(j, r)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 
-	// A cancelled run leaves jobs that never reached the pool; record them
-	// as skipped so the result map is total.
-	mu.Lock()
-	for name := range states {
-		if _, ok := results[name]; !ok {
-			r := Result{Name: name, Err: fmt.Errorf("%w: %v", ErrSkipped, context.Cause(ctx)), Skipped: true}
-			results[name] = r
-			if opt.Progress != nil {
-				opt.Progress.observe(r)
-			}
-		}
-	}
-	mu.Unlock()
-
 	rr := &RunResult{Jobs: results, Elapsed: time.Since(start)}
 	var errs []error
-	for _, r := range results {
+	skipped := false
+	for _, j := range jobs {
+		r := results[j.Name]
 		if r.Cached {
 			rr.CacheHits++
 		}
 		if r.Err != nil && !r.Skipped {
 			errs = append(errs, fmt.Errorf("%s: %w", r.Name, r.Err))
 		}
+		skipped = skipped || r.Skipped
 	}
 	if opt.Policy == FailFast && firstErr != nil {
 		return rr, firstErr
@@ -382,21 +327,12 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*RunResult, error) {
 	if len(errs) > 0 {
 		return rr, errors.Join(errs...)
 	}
-	if anySkipped(results) {
+	if skipped {
 		// No job failed but some never ran: the parent context was
 		// cancelled.
 		return rr, context.Cause(ctx)
 	}
 	return rr, nil
-}
-
-func anySkipped(results map[string]Result) bool {
-	for _, r := range results {
-		if r.Skipped {
-			return true
-		}
-	}
-	return false
 }
 
 // execute runs one job: cache probe, recovery-wrapped attempts with
@@ -487,32 +423,4 @@ func runAttempt(ctx context.Context, j *Job, opt Options) (v any, o *obs.Observe
 	}()
 	v, err = j.run(ctx)
 	return v, o, err
-}
-
-// checkAcyclic runs Kahn's algorithm over the dependency graph.
-func checkAcyclic(states map[string]*jobState, dependents map[string][]string) error {
-	indeg := make(map[string]int, len(states))
-	var queue []string
-	for name, st := range states {
-		indeg[name] = len(st.deps)
-		if len(st.deps) == 0 {
-			queue = append(queue, name)
-		}
-	}
-	seen := 0
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		seen++
-		for _, d := range dependents[n] {
-			indeg[d]--
-			if indeg[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if seen != len(states) {
-		return errors.New("runner: dependency cycle among jobs")
-	}
-	return nil
 }

@@ -65,50 +65,30 @@ func TestRunRespectsWorkerBound(t *testing.T) {
 	}
 }
 
-func TestRunDependencyOrder(t *testing.T) {
+// With one worker, jobs start in slice order.
+func TestRunDispatchesInSliceOrder(t *testing.T) {
 	var mu sync.Mutex
-	var order []string
-	rec := func(name string) Job {
-		j := job(name, func(context.Context) (int, error) {
+	var order, want []string
+	var jobs []Job
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("j%02d", 11-i)
+		want = append(want, name)
+		jobs = append(jobs, job(name, func(context.Context) (int, error) {
 			mu.Lock()
 			order = append(order, name)
 			mu.Unlock()
 			return 0, nil
-		})
-		return j
+		}))
 	}
-	a, b, c := rec("a"), rec("b"), rec("c")
-	b.Deps = []string{"a"}
-	c.Deps = []string{"a", "b"}
-	rr, err := Run(context.Background(), []Job{c, b, a}, Options{Workers: 4})
-	if err != nil {
+	if _, err := Run(context.Background(), jobs, Options{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if len(rr.Jobs) != 3 {
-		t.Fatalf("results: %d", len(rr.Jobs))
-	}
-	pos := map[string]int{}
-	for i, n := range order {
-		pos[n] = i
-	}
-	if !(pos["a"] < pos["b"] && pos["b"] < pos["c"]) {
-		t.Fatalf("order %v violates DAG", order)
+	if strings.Join(order, ",") != strings.Join(want, ",") {
+		t.Fatalf("start order %v, want %v", order, want)
 	}
 }
 
 func TestRunDetectsBadGraphs(t *testing.T) {
-	a := constJob("a", 1)
-	a.Deps = []string{"b"}
-	b := constJob("b", 2)
-	b.Deps = []string{"a"}
-	if _, err := Run(context.Background(), []Job{a, b}, Options{}); err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle not detected: %v", err)
-	}
-	c := constJob("c", 3)
-	c.Deps = []string{"nope"}
-	if _, err := Run(context.Background(), []Job{c}, Options{}); err == nil || !strings.Contains(err.Error(), "unknown job") {
-		t.Fatalf("unknown dep not detected: %v", err)
-	}
 	if _, err := Run(context.Background(), []Job{constJob("d", 1), constJob("d", 2)}, Options{}); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Fatalf("duplicate not detected: %v", err)
 	}
@@ -143,8 +123,8 @@ func TestRunPanicIsolation(t *testing.T) {
 	}
 }
 
-// Under FailFast, a failure cancels jobs that have not started and skips
-// dependents; the first error is returned.
+// Under FailFast, a failure skips the jobs that have not started; the first
+// error is returned.
 func TestRunFailFastSkipsPending(t *testing.T) {
 	bad := errors.New("bad cell")
 	started := make(chan struct{})
@@ -159,42 +139,17 @@ func TestRunFailFastSkipsPending(t *testing.T) {
 			return 0, ctx.Err()
 		}),
 		constJob("late1", 1), constJob("late2", 2), constJob("late3", 3),
+		constJob("pending", 4),
 	}
-	dep := constJob("dependent", 4)
-	dep.Deps = []string{"fail"}
-	jobs = append(jobs, dep)
 	rr, err := Run(context.Background(), jobs, Options{Workers: 2, Policy: FailFast})
 	if !errors.Is(err, bad) {
 		t.Fatalf("err = %v, want %v", err, bad)
 	}
-	if !errors.Is(rr.Jobs["dependent"].Err, ErrSkipped) || !rr.Jobs["dependent"].Skipped {
-		t.Fatalf("dependent not skipped: %+v", rr.Jobs["dependent"])
+	if !errors.Is(rr.Jobs["pending"].Err, ErrSkipped) || !rr.Jobs["pending"].Skipped {
+		t.Fatalf("pending not skipped: %+v", rr.Jobs["pending"])
 	}
 	if len(rr.Jobs) != 6 {
 		t.Fatalf("result map not total: %d entries", len(rr.Jobs))
-	}
-}
-
-// A dependent of a failed job must not run even when its other
-// dependencies complete later.
-func TestRunDependentOfFailureNeverRuns(t *testing.T) {
-	var ran atomic.Bool
-	fail := job("fail", func(context.Context) (int, error) { return 0, errors.New("x") })
-	ok := constJob("ok", 1)
-	dep := job("dep", func(context.Context) (int, error) { ran.Store(true); return 0, nil })
-	dep.Deps = []string{"fail", "ok"}
-	rr, err := Run(context.Background(), []Job{fail, ok, dep}, Options{Workers: 1, Policy: CollectAll})
-	if err == nil {
-		t.Fatal("no error")
-	}
-	if ran.Load() {
-		t.Fatal("dependent of failed job executed")
-	}
-	if !rr.Jobs["dep"].Skipped {
-		t.Fatalf("dep: %+v", rr.Jobs["dep"])
-	}
-	if rr.Jobs["ok"].Err != nil {
-		t.Fatalf("ok: %+v", rr.Jobs["ok"])
 	}
 }
 
@@ -210,19 +165,17 @@ func TestRunContextCancellationMidPool(t *testing.T) {
 		<-ctx.Done()
 		return 0, ctx.Err()
 	}))
-	// The gate releases the queued jobs only once the run is already
-	// cancelled, so they deterministically reach the pool post-cancel.
+	// The gate holds the second worker until the run is cancelled, so the
+	// queued jobs behind it deterministically reach the pool post-cancel.
 	jobs = append(jobs, job("gate", func(ctx context.Context) (int, error) {
 		<-ctx.Done()
 		return 0, nil
 	}))
 	for i := 0; i < 10; i++ {
-		q := job(fmt.Sprintf("queued%d", i), func(context.Context) (int, error) {
+		jobs = append(jobs, job(fmt.Sprintf("queued%d", i), func(context.Context) (int, error) {
 			time.Sleep(time.Millisecond)
 			return 0, nil
-		})
-		q.Deps = []string{"gate"}
-		jobs = append(jobs, q)
+		}))
 	}
 	go func() {
 		<-inFlight
@@ -246,6 +199,95 @@ func TestRunContextCancellationMidPool(t *testing.T) {
 	}
 	if len(rr.Jobs) != len(jobs) {
 		t.Fatalf("result map not total: %d/%d", len(rr.Jobs), len(jobs))
+	}
+}
+
+// keyedJob builds a job of the shared key "k" that counts its executions.
+func keyedJob(name string, execs *atomic.Int64, fn func(context.Context) (int, error)) Job {
+	return New(name, KeyOf("k"), func(ctx context.Context) (int, error) {
+		execs.Add(1)
+		return fn(ctx)
+	})
+}
+
+// Equal-key jobs compute once: the later one takes the first one's value
+// as a cache hit, without a cache and without taking a worker.
+func TestRunCoalescesEqualKeys(t *testing.T) {
+	var execs atomic.Int64
+	seven := func(context.Context) (int, error) { return 7, nil }
+	prog := NewProgress(nil)
+	jobs := []Job{keyedJob("first", &execs, seven), constJob("other", 1), keyedJob("second", &execs, seven)}
+	rr, err := Run(context.Background(), jobs, Options{Workers: 2, Progress: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if execs.Load() != 1 || rr.CacheHits != 1 {
+		t.Fatalf("execs=%d hits=%d, want 1 and 1", execs.Load(), rr.CacheHits)
+	}
+	for _, name := range []string{"first", "second"} {
+		if v, err := ValueOf[int](rr, name); err != nil || v != 7 {
+			t.Fatalf("%s = %d, %v", name, v, err)
+		}
+	}
+	if r := rr.Jobs["second"]; !r.Cached || r.Attempts != 0 {
+		t.Fatalf("second: %+v, want cached with 0 attempts", r)
+	}
+	if sum := prog.Summary(); sum.Done != 3 || sum.CacheHits != 1 {
+		t.Fatalf("progress: done=%d hits=%d", sum.Done, sum.CacheHits)
+	}
+}
+
+// A failure is never shared: the next job of the key runs in its place.
+func TestRunFailedKeyPassesToNextJob(t *testing.T) {
+	var execs atomic.Int64
+	jobs := []Job{
+		keyedJob("first", &execs, func(context.Context) (int, error) { return 0, errors.New("x") }),
+		keyedJob("second", &execs, func(context.Context) (int, error) { return 7, nil }),
+		keyedJob("third", &execs, func(context.Context) (int, error) { return 7, nil }),
+	}
+	rr, err := Run(context.Background(), jobs, Options{Workers: 2, Policy: CollectAll})
+	if err == nil || rr.Jobs["first"].Err == nil {
+		t.Fatalf("first did not fail: %v", err)
+	}
+	if r := rr.Jobs["second"]; r.Err != nil || r.Cached || r.Attempts != 1 {
+		t.Fatalf("second: %+v, want computed", r)
+	}
+	if r := rr.Jobs["third"]; r.Err != nil || !r.Cached || r.Value != 7 {
+		t.Fatalf("third: %+v, want second's value", r)
+	}
+	if execs.Load() != 2 {
+		t.Fatalf("execs=%d, want 2", execs.Load())
+	}
+}
+
+// Cancelling the run while the first job of a key runs skips the later
+// ones instead of running them.
+func TestRunCancelSkipsWaitingKeyJobs(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var execs atomic.Int64
+	started := make(chan struct{})
+	go func() {
+		<-started
+		cancel()
+	}()
+	jobs := []Job{
+		keyedJob("first", &execs, func(ctx context.Context) (int, error) {
+			close(started)
+			<-ctx.Done()
+			return 0, ctx.Err()
+		}),
+		keyedJob("second", &execs, func(context.Context) (int, error) { return 7, nil }),
+	}
+	rr, err := Run(ctx, jobs, Options{Workers: 2, Policy: CollectAll})
+	if err == nil {
+		t.Fatal("cancelled run returned nil error")
+	}
+	if r := rr.Jobs["second"]; !r.Skipped || !errors.Is(r.Err, ErrSkipped) {
+		t.Fatalf("second: %+v, want skipped", r)
+	}
+	if execs.Load() != 1 || len(rr.Jobs) != 2 {
+		t.Fatalf("execs=%d results=%d", execs.Load(), len(rr.Jobs))
 	}
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"vcoma/internal/addr"
@@ -53,9 +54,14 @@ func NewLayout(g addr.Geometry) *Layout {
 }
 
 // LayoutFromRegions reconstructs a layout from previously recorded regions
-// (trace replay): regions must be sorted by base and non-overlapping.
+// (trace replay): regions must be sorted by base and non-overlapping, end
+// inside the address space, and span no more pages than the attraction
+// memories of g hold, since a replay maps every page up front.
 func LayoutFromRegions(g addr.Geometry, regions []Region) (*Layout, error) {
 	l := NewLayout(g)
+	pageMask := g.PageSize() - 1
+	frames := uint64(g.Nodes()) * uint64(g.PageFramesPerNode())
+	var pages uint64
 	for i, r := range regions {
 		if r.Bytes == 0 {
 			return nil, fmt.Errorf("vm: empty region %q", r.Name)
@@ -63,9 +69,17 @@ func LayoutFromRegions(g addr.Geometry, regions []Region) (*Layout, error) {
 		if uint64(r.Base) < uint64(l.next) {
 			return nil, fmt.Errorf("vm: region %d (%q) at %#x overlaps or is out of order", i, r.Name, uint64(r.Base))
 		}
+		end := uint64(r.Base) + r.Bytes
+		if end < uint64(r.Base) || end > math.MaxUint64-pageMask {
+			return nil, fmt.Errorf("vm: region %d (%q) at %#x of %d bytes runs past the end of the address space", i, r.Name, uint64(r.Base), r.Bytes)
+		}
+		end = (end + pageMask) &^ pageMask
+		pages += (end - uint64(g.PageBase(r.Base))) >> g.PageBits
+		if pages > frames {
+			return nil, fmt.Errorf("vm: regions through %d (%q) span %d pages; the machine holds %d", i, r.Name, pages, frames)
+		}
 		l.regions = append(l.regions, r)
-		pageMask := g.PageSize() - 1
-		l.next = addr.Virtual((uint64(r.Base) + r.Bytes + pageMask) &^ pageMask)
+		l.next = addr.Virtual(end)
 	}
 	return l, nil
 }

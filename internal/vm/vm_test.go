@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -304,6 +305,31 @@ func TestLayoutFromRegions(t *testing.T) {
 	}
 	if _, err := LayoutFromRegions(g(), []Region{{Name: "z", Base: LayoutBase}}); err == nil {
 		t.Fatal("empty region accepted")
+	}
+}
+
+// A recorded layout is untrusted input: one that wraps the address space or
+// spans more pages than the machine's attraction memories hold is refused
+// before anything is allocated for it.
+func TestLayoutFromRegionsBounds(t *testing.T) {
+	ps := g().PageSize()
+	frames := uint64(g().Nodes() * g().PageFramesPerNode())
+	if _, err := LayoutFromRegions(g(), []Region{{Name: "full", Base: LayoutBase, Bytes: frames * ps}}); err != nil {
+		t.Fatalf("layout filling the machine refused: %v", err)
+	}
+	for name, regions := range map[string][]Region{
+		"one page over": {{Name: "a", Base: LayoutBase, Bytes: frames*ps + 1}},
+		"over in total": {
+			{Name: "a", Base: LayoutBase, Bytes: frames / 2 * ps},
+			{Name: "b", Base: LayoutBase + addr.Virtual(frames*ps), Bytes: frames/2*ps + 1},
+		},
+		"1 PiB":          {{Name: "x", Base: LayoutBase, Bytes: 1 << 50}},
+		"wraps":          {{Name: "x", Base: 1 << 63, Bytes: 1 << 63}},
+		"ends past last": {{Name: "x", Base: math.MaxUint64 - 10, Bytes: 5}},
+	} {
+		if _, err := LayoutFromRegions(g(), regions); err == nil {
+			t.Errorf("%s: layout accepted", name)
+		}
 	}
 }
 
