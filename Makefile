@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke crashsim perf-gate clean
+.PHONY: all vet build test race fuzz-smoke soak check chaos-smoke serve-smoke fsfault-smoke pprof-smoke crashsim perf-gate clean
 
 all: check
 
@@ -58,6 +58,13 @@ fsfault-smoke:
 	sh scripts/fsfault-smoke.sh fsfault-smoke.tmp
 	rm -rf fsfault-smoke.tmp
 
+# Profiling smoke: a 2 s CPU profile fetched from a small-scale report's
+# live -pprof endpoint must carry job labels naming its passes
+# (see scripts/pprof-smoke.sh).
+pprof-smoke:
+	sh scripts/pprof-smoke.sh pprof-smoke.tmp
+	rm -rf pprof-smoke.tmp
+
 # Power-cut crash-consistency sweeps: replay every fsync-truncated prefix of
 # recorded op traces and reopen the shared durable log, the runner cache, the
 # sweep journal and the serve accept journal in each crash state, asserting
@@ -82,4 +89,4 @@ check: vet build
 	$(GO) run ./cmd/vcoma-check -seeds 30 -diff -budget 60s -artifacts fuzz-artifacts
 
 clean:
-	rm -rf fuzz-artifacts artifacts chaos-smoke.tmp serve-smoke.tmp fsfault-smoke.tmp
+	rm -rf fuzz-artifacts artifacts chaos-smoke.tmp serve-smoke.tmp fsfault-smoke.tmp pprof-smoke.tmp

@@ -63,8 +63,8 @@ func run() (int, error) {
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the journal in the cache directory")
 		chaosSpec  = flag.String("chaos", "", "fault-injection spec for testing the supervisor: panic:<substr>,hang:<substr>,flaky:<substr>:<n>,cancel:<n>,corrupt:<substr>")
 	)
-	budgetOf := cli.BudgetFlags()
-	retryOf, jobTimeout := cli.RetryFlags()
+	budgetOf, jobTimeout := cli.BudgetFlags()
+	retryOf := cli.RetryFlags()
 	fsFaultOf := cli.FsFaultFlags()
 	newLog := cli.LogFlags("vcoma-report")
 	flag.Parse()

@@ -32,8 +32,8 @@ func run() int {
 	chaosSpec := flag.String("chaos", "", "fault injection spec (testing only), e.g. hang:serve")
 	drainGrace := flag.Duration("drain-grace", 5*time.Second, "HTTP shutdown grace on SIGTERM")
 	faultControl := flag.Bool("fsfault-control", false, "expose POST /debug/fsfault for swapping the failpoint spec at runtime (chaos drills only)")
-	budget := cli.BudgetFlags()
-	retry, jobTimeout := cli.RetryFlags()
+	budget, jobTimeout := cli.BudgetFlags()
+	retry := cli.RetryFlags()
 	fsFaultOf := cli.FsFaultFlags()
 	newLog := cli.LogFlags("vcoma-serve")
 	flag.Parse()

@@ -73,7 +73,7 @@ func run() (int, error) {
 		traceCats       = flag.String("trace-categories", "", "comma-separated trace categories to keep: trans,dlb,coh,repl,sync (empty = all)")
 		pprofAddr       = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 	)
-	budgetOf := cli.BudgetFlags()
+	budgetOf, jobTimeout := cli.BudgetFlags()
 	fsFaultOf := cli.FsFaultFlags()
 	newLog := cli.LogFlags("vcoma-sim")
 	flag.Parse()
@@ -137,13 +137,19 @@ func run() (int, error) {
 	}
 
 	// The run is supervised: Ctrl-C aborts it cleanly (exit 128+signum),
-	// and any armed watchdog budget trips with a full diagnostic dump
-	// instead of a hang.
+	// and any armed watchdog budget or -job-timeout trips with a full
+	// diagnostic dump instead of a hang.
 	ctx, cancel := cli.SignalContext(context.Background(), "vcoma-sim")
 	defer cancel(nil)
+	runCtx := ctx
+	if *jobTimeout > 0 {
+		var stop context.CancelFunc
+		runCtx, stop = context.WithTimeout(ctx, *jobTimeout)
+		defer stop()
+	}
 
 	start := time.Now()
-	res, err := vcoma.Run(ctx, cfg, bench, vcoma.RunOptions{Observer: o, Budget: budgetOf()})
+	res, err := vcoma.Run(runCtx, cfg, bench, vcoma.RunOptions{Observer: o, Budget: budgetOf()})
 	if err != nil {
 		var we *vcoma.WatchdogError
 		if errors.As(err, &we) {

@@ -100,17 +100,18 @@ func SignalContext(parent context.Context, prog string) (context.Context, contex
 }
 
 // BudgetFlags registers the watchdog-budget flags on the default flag set
-// and returns a function that assembles the sim.Budget after flag.Parse.
-// All limits default to 0 (disarmed): legitimate paper-scale runs must
-// never trip a default budget.
-func BudgetFlags() func() sim.Budget {
+// and returns a function that assembles the sim.Budget after flag.Parse,
+// plus the parsed per-pass wall-clock deadline (-job-timeout), which the
+// caller applies as a context deadline. All limits default to 0
+// (disarmed): legitimate paper-scale runs must never trip a default budget.
+func BudgetFlags() (budget func() sim.Budget, jobTimeout *time.Duration) {
 	maxCycles := flag.Uint64("max-cycles", 0, "watchdog: abort any pass past this many simulated cycles (0 = unlimited)")
 	maxEvents := flag.Uint64("max-events", 0, "watchdog: abort any pass past this many retired events (0 = unlimited)")
 	stall := flag.Uint64("stall-events", 0, "watchdog: abort any pass after this many events without a processor clock advancing (livelock detector; 0 = off)")
-	wall := flag.Duration("sim-wall", 0, "watchdog: abort any pass after this much wall-clock time (0 = unlimited)")
+	jobTimeout = flag.Duration("job-timeout", 0, "per-pass deadline; a pass past it aborts with a watchdog diagnostic (0 = none)")
 	return func() sim.Budget {
-		return sim.Budget{MaxCycles: *maxCycles, MaxEvents: *maxEvents, StallEvents: *stall, MaxWall: *wall}
-	}
+		return sim.Budget{MaxCycles: *maxCycles, MaxEvents: *maxEvents, StallEvents: *stall}
+	}, jobTimeout
 }
 
 // FsFaultFlags registers the storage fault-injection flags shared by every
@@ -151,15 +152,13 @@ func AtomicOutput(fs *fsio.FS, tag, path string, render func(io.Writer) error) e
 	return fs.WriteFileAtomic(tag, path, buf.Bytes())
 }
 
-// RetryFlags registers the per-pass deadline and transient-retry flags and
-// returns a function assembling the runner.Retry policy after flag.Parse
-// plus the parsed deadline.
-func RetryFlags() (retry func() runner.Retry, jobTimeout *time.Duration) {
+// RetryFlags registers the transient-retry flag and returns a function
+// assembling the runner.Retry policy after flag.Parse.
+func RetryFlags() func() runner.Retry {
 	retries := flag.Int("retries", 0, "retry transiently-failed passes up to this many times (exponential backoff with jitter; 0 = no retries)")
-	jobTimeout = flag.Duration("job-timeout", 0, "per-pass deadline; a pass past it aborts with a watchdog diagnostic (0 = none)")
 	return func() runner.Retry {
 		r := runner.DefaultRetry
 		r.Max = *retries
 		return r
-	}, jobTimeout
+	}
 }

@@ -239,19 +239,3 @@ func (m *Machine) flushPageVirtual(o addr.Node, v addr.Virtual) int {
 	}
 	return n
 }
-
-// CheckProtection verifies an access against v's page protection without
-// performing it, returning an error on a violation. The timed Access path
-// does not check (the workloads never violate); management tests use this
-// entry point.
-func (m *Machine) CheckProtection(v addr.Virtual, write bool) error {
-	want := vm.ProtRead
-	if write {
-		want = vm.ProtWrite
-	}
-	if p := m.sys.Protection(v); !p.Allows(want) {
-		return fmt.Errorf("machine: %v access to %#x violates page protection %v",
-			want, uint64(v), p)
-	}
-	return nil
-}

@@ -11,6 +11,9 @@ import (
 //
 //	go tool pprof http://localhost:6060/debug/pprof/profile?seconds=30
 //
+// Samples taken inside a runner job carry its job and key labels, so
+// -tagfocus job=<regexp> narrows the capture to matching passes.
+//
 // An empty addr is a no-op. The listen error (port taken, bad address) is
 // returned synchronously; serve errors after that are ignored, as the
 // profiling endpoint is best-effort and must never take the run down.

@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"time"
 
@@ -401,7 +402,9 @@ func execute(ctx context.Context, j *Job, opt Options) (res Result) {
 
 // runAttempt performs one recovery-wrapped call of the job function under
 // the per-attempt deadline, returning the attempt's observer for the
-// metrics sidecar.
+// metrics sidecar. The call carries the pprof labels job=<Name> and
+// key=<Key>, so any CPU profile of the process attributes its samples to
+// passes (go tool pprof -tagfocus job=<regexp>).
 func runAttempt(ctx context.Context, j *Job, opt Options) (v any, o *obs.Observer, err error) {
 	if opt.JobTimeout > 0 {
 		var cancel context.CancelFunc
@@ -421,6 +424,8 @@ func runAttempt(ctx context.Context, j *Job, opt Options) (v any, o *obs.Observe
 			err = &PanicError{Job: j.Name, Value: r, Stack: debug.Stack()}
 		}
 	}()
-	v, err = j.run(ctx)
+	pprof.Do(ctx, pprof.Labels("job", j.Name, "key", string(j.Key)), func(ctx context.Context) {
+		v, err = j.run(ctx)
+	})
 	return v, o, err
 }

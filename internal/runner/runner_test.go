@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,6 +120,51 @@ func TestRunPanicIsolation(t *testing.T) {
 	for _, name := range []string{"ok1", "ok2"} {
 		if rr.Jobs[name].Err != nil {
 			t.Fatalf("%s did not survive the panic: %v", name, rr.Jobs[name].Err)
+		}
+	}
+}
+
+// Every attempt runs under the pprof labels job=<Name> and key=<Key>, a
+// retried one included, and they are set on the worker goroutine itself, so
+// a CPU profile of the process attributes each sample to its pass.
+func TestRunLabelsEveryAttempt(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string][]string{}
+	labelled := func(name string, failFirst bool) Job {
+		attempts := 0
+		return New(name, Key("key-"+name), func(ctx context.Context) (int, error) {
+			attempts++
+			jobLabel, _ := pprof.Label(ctx, "job")
+			keyLabel, _ := pprof.Label(ctx, "key")
+			var goroutines strings.Builder
+			pprof.Lookup("goroutine").WriteTo(&goroutines, 1)
+			onGoroutine := strings.Contains(goroutines.String(), `"job":"`+name+`"`)
+			mu.Lock()
+			seen[name] = append(seen[name], fmt.Sprintf("%s|%s|%v", jobLabel, keyLabel, onGoroutine))
+			mu.Unlock()
+			if failFirst && attempts == 1 {
+				return 0, Transient(errors.New("injected"))
+			}
+			return attempts, nil
+		})
+	}
+	jobs := []Job{labelled("fig10/OCEAN/DLB/8", true), labelled("serve/FFT/L0-TLB", false)}
+	_, err := Run(context.Background(), jobs, Options{
+		Workers: 2,
+		Retry:   Retry{Max: 1, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, want := range map[string]int{"fig10/OCEAN/DLB/8": 2, "serve/FFT/L0-TLB": 1} {
+		got := seen[name]
+		if len(got) != want {
+			t.Fatalf("%s: %d attempts labelled, want %d", name, len(got), want)
+		}
+		for i, g := range got {
+			if w := name + "|key-" + name + "|true"; g != w {
+				t.Errorf("%s attempt %d: labels %q, want %q", name, i+1, g, w)
+			}
 		}
 	}
 }

@@ -26,7 +26,6 @@ type serverMetrics struct {
 	canceled     atomic.Uint64 // jobs whose every waiter gave up
 	failed       atomic.Uint64 // simulations that errored
 	resumed      atomic.Uint64 // jobs re-enqueued from the journal at boot
-	profiles     atomic.Uint64 // CPU-profile artifacts captured
 
 	hmu       sync.Mutex
 	queueWait *obs.Histogram // milliseconds queued before a worker picked it up
@@ -47,7 +46,6 @@ var metricMeta = map[string]struct{ Help, Type string }{
 	"serve/canceled":          {"Jobs canceled because every waiter withdrew.", "counter"},
 	"serve/failed":            {"Jobs whose simulation errored.", "counter"},
 	"serve/resumed":           {"Jobs re-enqueued from the accept journal at boot.", "counter"},
-	"serve/profiles":          {"CPU-profile artifacts captured alongside results.", "counter"},
 	"serve/queue.depth":       {"Jobs currently queued.", "gauge"},
 	"serve/queue.running":     {"Jobs currently being simulated.", "gauge"},
 	"serve/store.bytes":       {"Artifact store payload bytes on disk.", "gauge"},
@@ -82,7 +80,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	probe("serve/canceled", &m.canceled)
 	probe("serve/failed", &m.failed)
 	probe("serve/resumed", &m.resumed)
-	probe("serve/profiles", &m.profiles)
 	m.reg.Probe("serve/queue.depth", func() float64 { return float64(queue.Snapshot().Queued) })
 	m.reg.Probe("serve/queue.running", func() float64 { return float64(queue.Snapshot().Running) })
 	m.reg.Probe("serve/store.bytes", func() float64 { return float64(store.Snapshot().Bytes) })

@@ -92,7 +92,6 @@ type Job struct {
 	trace     *obs.Trace
 	root      *obs.Span // request root, ended when the job retires
 	queueSpan *obs.Span // open queue-wait span while queued
-	profile   bool      // any waiter asked for a CPU profile artifact
 
 	queuedAt  time.Time
 	startedAt time.Time
@@ -200,13 +199,6 @@ func (j *Job) Root() *obs.Span {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.root
-}
-
-// Profile reports whether any waiter asked for a CPU profile.
-func (j *Job) Profile() bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.profile
 }
 
 // endTraceLocked closes the job's request trace with its final outcome.
@@ -416,7 +408,6 @@ func (q *Queue) Submit(spec Spec) (*Job, string, Outcome, error) {
 		queuedAt: time.Now(),
 		trace:    spec.Trace,
 		root:     spec.Root,
-		profile:  spec.Profile,
 	}
 	j.queueSpan = spec.Root.StartChild("queue-wait")
 	q.jobs[key] = j
@@ -441,9 +432,6 @@ func (q *Queue) joinLocked(j *Job, spec Spec) string {
 	old := j.priority
 	if raise {
 		j.priority = spec.Priority
-	}
-	if spec.Profile {
-		j.profile = true
 	}
 	if sp := j.root.StartChild("coalesce-attach"); sp != nil {
 		sp.SetAttr("tenant", spec.Tenant)

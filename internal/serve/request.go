@@ -90,7 +90,7 @@ type Request struct {
 // Spec is a validated, normalized request: the exact simulation inputs plus
 // the queueing attributes, ready to run.
 //
-// Trace, Root and Profile are per-submit observability state: like Tenant
+// Trace and Root are per-submit observability state: like Tenant
 // and Priority they ride the queue but are deliberately excluded from Key,
 // so a traced and an untraced request for the same cell still coalesce onto
 // one simulation and one artifact.
@@ -105,8 +105,6 @@ type Spec struct {
 	Trace *obs.Trace
 	// Root is the open request-root span, ended when the job retires.
 	Root *obs.Span
-	// Profile asks for a CPU-profile artifact next to the result.
-	Profile bool
 }
 
 // Key returns the job's content address: a hash of everything that can

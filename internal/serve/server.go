@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"vcoma/internal/cli"
@@ -84,11 +83,6 @@ type Server struct {
 	health  *health
 	mem     *memResults
 	traces  *traceIndex
-
-	// profiling guards the process-global CPU profiler: the Go runtime
-	// allows one profile at a time, so concurrent ?profile=cpu jobs race
-	// for the slot and losers run unprofiled.
-	profiling atomic.Bool
 
 	wg        sync.WaitGroup
 	draining  chan struct{}
@@ -319,11 +313,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	runCtx := obs.WithSpan(obs.WithTrace(jobCtx, j.Trace()), runSp)
 	jl.Info("job start", "name", spec.Name(), "queue_wait", waited.Round(time.Millisecond).String())
 
-	var stopProfile func()
-	if j.Profile() {
-		stopProfile = s.startProfile(jl, j.Key, runSp)
-	}
-
 	rj := runner.New(spec.Name(), j.Key, func(c context.Context) (report.RunSummary, error) {
 		return experiments.Simulate(experiments.WithBudget(c, s.opts.Budget), spec.Config, spec.Bench, spec.Scale)
 	})
@@ -343,9 +332,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		Retry:      s.opts.Retry,
 	})
 	pw.flush()
-	if stopProfile != nil {
-		stopProfile()
-	}
 	elapsed := time.Since(start)
 
 	if err == nil {
@@ -498,12 +484,11 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 //	GET    /v1/jobs/{key}/result  stored artifact bytes (byte-identical)
 //	GET    /v1/jobs/{key}/events  SSE: status changes + progress lines
 //	GET    /v1/jobs/{key}/trace   request span tree (?format=chrome → Perfetto)
-//	GET    /v1/jobs/{key}/profile CPU-profile artifact (submit with ?profile=cpu)
 //	DELETE /v1/jobs/{key}      remove this waiter (cancel when last)
 //	GET    /v1/queue           queue + store + health snapshot
 //	GET    /healthz            liveness: "ok" or "degraded"
 //	GET    /metrics            Prometheus text exposition
-//	GET    /debug/pprof/       live profiling
+//	GET    /debug/pprof/       live profiling (samples carry job and key labels)
 //	GET    /debug/fsfault      armed failpoint spec + fsio counters (opt-in)
 //	POST   /debug/fsfault      swap the failpoint spec (empty body disarms)
 func (s *Server) Handler() http.Handler {
@@ -514,7 +499,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{key}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{key}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/jobs/{key}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{key}/profile", s.handleProfile)
 	mux.HandleFunc("DELETE /v1/jobs/{key}", s.handleCancel)
 	mux.HandleFunc("GET /v1/queue", s.handleQueue)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -724,26 +708,8 @@ func (s *Server) rejectStatus(w http.ResponseWriter, err error) {
 	}
 }
 
-// parseProfile validates the opt-in ?profile= submit flag: "cpu" asks for a
-// CPU-profile artifact next to the result, empty means none.
-func parseProfile(r *http.Request) (bool, error) {
-	switch r.URL.Query().Get("profile") {
-	case "":
-		return false, nil
-	case "cpu":
-		return true, nil
-	default:
-		return false, fmt.Errorf("serve: unknown profile %q (want cpu)", r.URL.Query().Get("profile"))
-	}
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining429(w) {
-		return
-	}
-	profile, err := parseProfile(r)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	var req Request
@@ -756,7 +722,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	spec.Profile = profile
 	resp, status, err := s.admit(req, spec)
 	if err != nil {
 		s.rejectStatus(w, err)

@@ -78,13 +78,6 @@ func OpenStoreFS(dir string, maxBytes int64, fs *fsio.FS) (*Store, error) {
 // write results straight into the store.
 func (s *Store) Cache() *runner.Cache { return s.cache }
 
-// ProfilePath returns where key's optional CPU-profile sidecar lives: next
-// to the artifact, with the .json suffix swapped for .cpuprofile (so reindex
-// and the LRU never mistake it for an artifact).
-func (s *Store) ProfilePath(key runner.Key) string {
-	return strings.TrimSuffix(s.cache.EntryPath(key), ".json") + ".cpuprofile"
-}
-
 // Contains reports whether key's artifact file exists on disk right now.
 // The worker uses it to detect a swallowed store write (runner.Run treats a
 // failed Put as non-fatal) so degraded-mode serving can take over.
@@ -208,9 +201,6 @@ func (s *Store) evictLocked(keep runner.Key) {
 		}
 		s.removeLocked(el)
 		s.evicted++
-		// The profile sidecar rides its artifact: best-effort removal so
-		// eviction never strands an orphaned .cpuprofile on disk.
-		s.fs.Remove("evict", s.ProfilePath(e.key))
 	}
 }
 

@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"container/list"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"sync"
@@ -200,66 +197,4 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeError(w, http.StatusNotFound, fmt.Errorf("serve: no trace for job %.16s…", key))
-}
-
-// handleProfile serves the CPU-profile artifact captured for a job submitted
-// with ?profile=cpu, once its run is over.
-func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	raw := r.PathValue("key")
-	if !validKey(raw) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %.16s…", raw))
-		return
-	}
-	b, err := os.ReadFile(s.store.ProfilePath(runner.Key(raw)))
-	if err != nil {
-		writeError(w, http.StatusNotFound, errors.New("serve: no CPU profile for this job (submit with ?profile=cpu)"))
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", `attachment; filename="`+raw[:16]+`.cpuprofile"`)
-	w.Write(b)
-}
-
-// startProfile begins the opt-in CPU profile for a job. The Go runtime
-// allows one CPU profile per process, so concurrent profiled jobs race for
-// a single slot; the loser runs unprofiled (logged, never failed). Returns
-// the stop func, or nil when no profile was started.
-func (s *Server) startProfile(jl *slog.Logger, key runner.Key, sp *obs.Span) func() {
-	if !s.profiling.CompareAndSwap(false, true) {
-		jl.Warn("cpu profile skipped: another job is profiling")
-		return nil
-	}
-	// The profile lands in the store's shard directory for the key, which
-	// the store itself only creates at put time — after the run.
-	path := s.store.ProfilePath(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		s.profiling.Store(false)
-		jl.Warn("cpu profile skipped", "error", err.Error())
-		return nil
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		s.profiling.Store(false)
-		jl.Warn("cpu profile skipped", "error", err.Error())
-		return nil
-	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		s.profiling.Store(false)
-		jl.Warn("cpu profile skipped", "error", err.Error())
-		return nil
-	}
-	sp.SetAttr("profile", "cpu")
-	return func() {
-		pprof.StopCPUProfile()
-		err := f.Close()
-		s.profiling.Store(false)
-		if err != nil {
-			jl.Warn("cpu profile close", "error", err.Error())
-			return
-		}
-		s.metrics.profiles.Add(1)
-		jl.Info("cpu profile written", "path", path)
-	}
 }

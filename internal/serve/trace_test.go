@@ -132,11 +132,6 @@ func TestServiceTraceEndToEnd(t *testing.T) {
 		t.Fatal("Perfetto trace lacks the trace id")
 	}
 
-	// A plain submit must not have produced a profile artifact.
-	if code, _ := get(t, ts.URL+"/v1/jobs/"+resp.Key+"/profile"); code != http.StatusNotFound {
-		t.Fatalf("unprofiled job serves a profile: %d", code)
-	}
-
 	// Every log line about this job carries the trace id — the grep contract
 	// operators rely on.
 	jobLines := 0
@@ -151,41 +146,6 @@ func TestServiceTraceEndToEnd(t *testing.T) {
 	}
 	if jobLines < 2 {
 		t.Fatalf("expected at least start+done log lines for the job, got %d", jobLines)
-	}
-}
-
-// TestServiceProfileCapture pins the opt-in CPU-profile artifact: a submit
-// with ?profile=cpu stores a pprof profile next to the result (created
-// before the store's shard directory exists — a regression), served by
-// GET /v1/jobs/{key}/profile, and counted by vcoma_serve_profiles.
-func TestServiceProfileCapture(t *testing.T) {
-	_, ts, _ := testServer(t, t.TempDir(), nil)
-
-	code, body, _ := post(t, ts.URL+"/v1/jobs?profile=cpu", Request{Bench: "RADIX", Scheme: "l1", Scale: "test"})
-	if code != http.StatusAccepted {
-		t.Fatalf("profiled submit: %d: %s", code, body)
-	}
-	var resp submitResponse
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "profiled job done", func() bool { return jobState(t, ts.URL, resp.Key) == "done" })
-
-	code, prof := get(t, ts.URL+"/v1/jobs/"+resp.Key+"/profile")
-	if code != http.StatusOK {
-		t.Fatalf("GET profile: %d: %s", code, prof)
-	}
-	if len(prof) == 0 {
-		t.Fatal("profile artifact is empty")
-	}
-	if got := metricValue(t, ts.URL, "serve/profiles"); got != 1 {
-		t.Fatalf("serve/profiles = %g, want 1", got)
-	}
-
-	// An unknown profile kind is rejected before the body is even decoded.
-	code, _, _ = post(t, ts.URL+"/v1/jobs?profile=heap", Request{Bench: "RADIX", Scheme: "l1", Scale: "test"})
-	if code != http.StatusBadRequest {
-		t.Fatalf("profile=heap: %d, want 400", code)
 	}
 }
 

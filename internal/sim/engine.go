@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"vcoma/internal/addr"
 	"vcoma/internal/machine"
@@ -172,7 +171,6 @@ type Engine struct {
 	// detector compares against.
 	budget          Budget
 	ctx             context.Context
-	wallStart       time.Time
 	maxClock        uint64 // largest processor clock seen so far
 	lastClock       uint64 // maxClock at the last observed advance
 	eventsAtAdvance uint64 // events retired when lastClock was recorded
@@ -379,7 +377,6 @@ func (e *Engine) Run() (Result, error) {
 			trace.CloseStream(e.procs[i].stream)
 		}
 	}()
-	e.wallStart = time.Now()
 	if err := e.runLoop(); err != nil {
 		return Result{}, err
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"vcoma/internal/addr"
 	"vcoma/internal/coherence"
@@ -26,16 +25,14 @@ type Budget struct {
 	// processor's clock advancing — the no-forward-progress (livelock)
 	// detector: events are being executed but simulated time stands still.
 	StallEvents uint64 `json:"stallEvents,omitempty"`
-	// MaxWall aborts the run after this much host wall-clock time.
-	MaxWall time.Duration `json:"maxWall,omitempty"`
 }
 
 // Zero reports whether no budget is armed.
 func (b Budget) Zero() bool {
-	return b.MaxCycles == 0 && b.MaxEvents == 0 && b.StallEvents == 0 && b.MaxWall == 0
+	return b.MaxCycles == 0 && b.MaxEvents == 0 && b.StallEvents == 0
 }
 
-// String renders the armed limits ("cycles≤1000000 wall≤30s"), or "none".
+// String renders the armed limits ("cycles≤1000000 events≤5000"), or "none".
 func (b Budget) String() string {
 	var parts []string
 	if b.MaxCycles > 0 {
@@ -46,9 +43,6 @@ func (b Budget) String() string {
 	}
 	if b.StallEvents > 0 {
 		parts = append(parts, fmt.Sprintf("stall<%d", b.StallEvents))
-	}
-	if b.MaxWall > 0 {
-		parts = append(parts, fmt.Sprintf("wall≤%v", b.MaxWall))
 	}
 	if len(parts) == 0 {
 		return "none"
@@ -201,9 +195,9 @@ func (e *Engine) SetBudget(b Budget) { e.budget = b }
 // deadline abort carries a *WatchdogError diagnostic like any budget trip.
 func (e *Engine) SetContext(ctx context.Context) { e.ctx = ctx }
 
-// wallCheckPeriod is how many events pass between wall-clock and context
-// polls; clock/event budgets are checked every step.
-const wallCheckPeriod = 4096
+// ctxCheckPeriod is how many events pass between context polls;
+// clock/event budgets are checked every step.
+const ctxCheckPeriod = 4096
 
 // checkBudget enforces the armed budget after each step. It returns a
 // non-nil error exactly when the run must abort.
@@ -226,17 +220,12 @@ func (e *Engine) checkBudget() error {
 		return e.trip(fmt.Sprintf("no forward progress: %d events retired without any processor clock advancing past %d",
 			e.events-e.eventsAtAdvance, e.maxClock))
 	}
-	if e.events%wallCheckPeriod == 0 {
-		if b.MaxWall > 0 && time.Since(e.wallStart) > b.MaxWall {
-			return e.trip(fmt.Sprintf("wall-clock budget exceeded (limit %v)", b.MaxWall))
-		}
-		if e.ctx != nil {
-			if err := e.ctx.Err(); err != nil {
-				if errors.Is(err, context.DeadlineExceeded) {
-					return e.trip("context deadline exceeded")
-				}
-				return err
+	if e.ctx != nil && e.events%ctxCheckPeriod == 0 {
+		if err := e.ctx.Err(); err != nil {
+			if errors.Is(err, context.DeadlineExceeded) {
+				return e.trip("context deadline exceeded")
 			}
+			return err
 		}
 	}
 	return nil

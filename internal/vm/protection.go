@@ -38,18 +38,6 @@ func (p Prot) String() string {
 	return string(b)
 }
 
-// Allows reports whether an access of kind want is permitted.
-func (p Prot) Allows(want Prot) bool { return p&want == want }
-
-// Protection returns v's page protection; unmapped pages default to
-// read-write (they will be mapped with that protection on first touch).
-func (s *System) Protection(v addr.Virtual) Prot {
-	if p := s.Lookup(v); p != nil {
-		return p.Prot
-	}
-	return ProtRW
-}
-
 // SetProtection changes v's page protection, mapping the page if needed,
 // and returns the page record for the caller (the machine layer) to drive
 // the coherence-side effects: TLB shootdowns or DLB/page-table updates and
