@@ -11,12 +11,16 @@
 //     observer bank of every TLB/DLB size and organization attached to the
 //     scheme's translation tap points. Miss counting does not feed back
 //     into timing, so one pass yields a whole curve (Figs 8/9, Tables 2/3).
+//     L0-TLB needs no simulation at all: its banks see each processor's
+//     references in program order, so its pass is computed from the
+//     reference streams alone.
 //   - Timed passes: one simulation per exact configuration with the
 //     translation penalty in the loop (Table 4, Figure 10).
 package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -25,6 +29,7 @@ import (
 	"vcoma/internal/obs"
 	"vcoma/internal/sim"
 	"vcoma/internal/tlb"
+	"vcoma/internal/trace"
 	"vcoma/internal/workload"
 )
 
@@ -140,8 +145,18 @@ func ObservePassConfig(cfg config.Config, sch config.Scheme) config.Config {
 
 // ObserveScheme runs one benchmark under one scheme with the full paper
 // observer grid attached, under ctx (cancellation, deadline, watchdog
-// budget).
+// budget). L0-TLB is computed from the reference streams alone (observeL0);
+// every other scheme simulates the machine.
 func ObserveScheme(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme) (SchemePass, error) {
+	if sch == config.L0TLB {
+		return observeL0(ctx, ObservePassConfig(cfg, sch), bench)
+	}
+	return observeMachine(ctx, cfg, bench, sch)
+}
+
+// observeMachine is the observer pass on a simulated machine: Pass with
+// the paper grid attached at the scheme's tap points.
+func observeMachine(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme) (SchemePass, error) {
 	m, _, _, err := Pass(ctx, ObservePassConfig(cfg, sch), bench, tlb.PaperSpecs(), nil)
 	if err != nil {
 		return SchemePass{}, err
@@ -154,6 +169,106 @@ func ObserveScheme(ctx context.Context, cfg config.Config, bench workload.Benchm
 		pass.NoWb = tlb.Merge(m.NoWritebackBanks())
 	}
 	return pass, nil
+}
+
+// observeL0 computes the L0-TLB observer pass without a machine. At L0
+// every processor reference is translated before it reaches the caches, so
+// node n's bank sees exactly processor n's reads and writes in program
+// order, and each buffer draws its replacements from its own PRNG: timing
+// cannot change the result. Each stream is therefore fed straight into a
+// bank seeded as the machine seeds node n's (machine.ObserverBankSeed), and
+// the result equals observeMachine's for L0-TLB.
+//
+// The pass honours ctx and the WithBudget budget the way the engine does:
+// it counts every event (compute and synchronization included), polls ctx
+// every 4096 events, and trips a *sim.WatchdogError once MaxEvents is
+// exceeded or the deadline passes. MaxCycles and StallEvents do not apply,
+// since no clock is simulated; nor is a deadlock detected, since locks and
+// barriers are not arbitrated.
+func observeL0(ctx context.Context, cfg config.Config, bench workload.Benchmark) (SchemePass, error) {
+	if err := cfg.Validate(); err != nil {
+		return SchemePass{}, err
+	}
+	prog, err := bench.Build(cfg.Geometry, cfg.Geometry.Nodes())
+	if err != nil {
+		return SchemePass{}, err
+	}
+	streams := prog.Streams()
+	defer func() {
+		for _, s := range streams {
+			trace.CloseStream(s)
+		}
+	}()
+	pass, err := feedL0(ctx, cfg, streams)
+	if err != nil {
+		return SchemePass{}, fmt.Errorf("experiments: %s/%v: %w", bench.Name(), cfg.Scheme, err)
+	}
+	return pass, nil
+}
+
+// feedL0 drains each stream in turn into its node's bank.
+func feedL0(ctx context.Context, cfg config.Config, streams []trace.Stream) (SchemePass, error) {
+	g := cfg.Geometry
+	budget := BudgetFrom(ctx)
+	banks := make([]*tlb.Bank, len(streams))
+	var events, refs uint64
+	// trip mirrors the engine's watchdog abort; a stream-only pass has no
+	// clocks, queues or memory system to dump.
+	trip := func(reason string) error {
+		return &sim.WatchdogError{Dump: &sim.Dump{Reason: reason, Budget: budget, Events: events}}
+	}
+	for n, s := range streams {
+		bank, err := tlb.NewBank(tlb.PaperSpecs(), 0, machine.ObserverBankSeed(cfg.Seed, n))
+		if err != nil {
+			return SchemePass{}, err
+		}
+		banks[n] = bank
+		next := batches(s)
+		for {
+			batch, ok := next()
+			if !ok {
+				break
+			}
+			for _, ev := range batch {
+				events++
+				if ev.Kind == trace.Read || ev.Kind == trace.Write {
+					refs++
+					bank.Access(g.Page(ev.Addr))
+				}
+				if budget.MaxEvents > 0 && events > budget.MaxEvents {
+					return SchemePass{}, trip(fmt.Sprintf("event budget exceeded (%d > %d retired events)", events, budget.MaxEvents))
+				}
+				if events%4096 == 0 { // the engine's context-poll period
+					if err := ctx.Err(); errors.Is(err, context.DeadlineExceeded) {
+						return SchemePass{}, trip("context deadline exceeded")
+					} else if err != nil {
+						return SchemePass{}, err
+					}
+				}
+			}
+		}
+		if f, ok := s.(trace.Failer); ok && f.Err() != nil {
+			return SchemePass{}, fmt.Errorf("sim: proc %d: %w", n, f.Err())
+		}
+	}
+	return SchemePass{
+		RefsPerNode: float64(refs) / float64(g.Nodes()),
+		Bank:        tlb.Merge(banks),
+	}, nil
+}
+
+// batches returns a function handing out s's events a batch at a time,
+// through trace.BatchStream when s implements it.
+func batches(s trace.Stream) func() ([]trace.Event, bool) {
+	if bs, ok := s.(trace.BatchStream); ok {
+		return bs.NextBatch
+	}
+	var one [1]trace.Event
+	return func() ([]trace.Event, bool) {
+		ev, ok := s.Next()
+		one[0] = ev
+		return one[:], ok
+	}
 }
 
 // AssembleObserved combines the five scheme passes of one benchmark. The

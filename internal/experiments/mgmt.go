@@ -36,15 +36,11 @@ type MgmtRow struct {
 // deadline, watchdog budget).
 func MgmtStudyScheme(ctx context.Context, cfg config.Config, bench workload.Benchmark, sch config.Scheme, samplePages int) (MgmtRow, error) {
 	c := cfg.WithScheme(sch).WithTLB(64, config.FullyAssoc)
-	m, _, _, err := Pass(ctx, c, bench, nil, nil)
+	m, prog, _, err := Pass(ctx, c, bench, nil, nil)
 	if err != nil {
 		return MgmtRow{}, err
 	}
 	// Sample pages across the workload's regions.
-	prog, err := bench.Build(c.Geometry, c.Geometry.Nodes())
-	if err != nil {
-		return MgmtRow{}, err
-	}
 	var pages []addr.Virtual
 	for _, r := range prog.Layout().Regions() {
 		for off := uint64(0); off < r.Bytes && len(pages) < samplePages; off += c.Geometry.PageSize() * 7 {

@@ -282,7 +282,7 @@ func (m *Machine) AttachObserverBanks(specs []tlb.Spec) error {
 		shift = m.g.NodeBits
 	}
 	for i := 0; i < m.g.Nodes(); i++ {
-		b, err := tlb.NewBank(specs, shift, m.cfg.Seed^uint64(i)<<16^0xBA6)
+		b, err := tlb.NewBank(specs, shift, ObserverBankSeed(m.cfg.Seed, i))
 		if err != nil {
 			return err
 		}
@@ -299,6 +299,11 @@ func (m *Machine) AttachObserverBanks(specs []tlb.Spec) error {
 	}
 	return nil
 }
+
+// ObserverBankSeed is the seed of node n's primary observer bank on a
+// machine seeded with seed. A pass that feeds a bank without a machine uses
+// it to reproduce the machine's bank exactly.
+func ObserverBankSeed(seed uint64, n int) uint64 { return seed ^ uint64(n)<<16 ^ 0xBA6 }
 
 // AttachObserver wires an observability sink through every layer of the
 // machine: per-node probes over the node counters, cache and translation

@@ -70,9 +70,18 @@ func PaperSpecs() []Spec {
 // that all observe the same translation-request stream. One simulation pass
 // therefore measures every point of a Figure 8/9 curve at once — valid
 // because miss counting does not feed back into the reference stream.
+//
+// A request for the same page as the bank's previous request is counted
+// and goes no further: every buffer already holds that page (it hit or was
+// just filled), and a hit changes no replacement state in any organization,
+// so the buffers' miss counts are the same as if each had seen it.
 type Bank struct {
 	specs   []Spec
 	buffers []Buffer
+
+	last    addr.PageNum // page of the previous request
+	lastOK  bool
+	repeats uint64 // requests skipped because they repeated last
 }
 
 // NewBank builds one buffer per spec. indexShift and seed are as in New;
@@ -91,6 +100,11 @@ func NewBank(specs []Spec, indexShift uint, seed uint64) (*Bank, error) {
 
 // Access feeds one translation request to every buffer in the bank.
 func (b *Bank) Access(p addr.PageNum) {
+	if b.lastOK && p == b.last {
+		b.repeats++
+		return
+	}
+	b.last, b.lastOK = p, true
 	for _, buf := range b.buffers {
 		buf.Access(p)
 	}
@@ -104,7 +118,9 @@ func (b *Bank) Specs() []Spec { return b.specs }
 func (b *Bank) Stats(sp Spec) (Stats, bool) {
 	for i, s := range b.specs {
 		if s == sp {
-			return b.buffers[i].Stats(), true
+			st := b.buffers[i].Stats()
+			st.Accesses += b.repeats
+			return st, true
 		}
 	}
 	return Stats{}, false
@@ -116,7 +132,7 @@ func (b *Bank) Accesses() uint64 {
 	if len(b.buffers) == 0 {
 		return 0
 	}
-	return b.buffers[0].Stats().Accesses
+	return b.buffers[0].Stats().Accesses + b.repeats
 }
 
 // Misses returns the miss count of the buffer matching spec; it panics if

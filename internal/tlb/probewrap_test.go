@@ -151,10 +151,11 @@ func TestFullyAssocWrapChurnModel(t *testing.T) {
 			}
 		}
 		// And every resident page must be findable at a cell consistent
-		// with linear probing from its home (no orphaned cells).
+		// with linear probing from its home (no orphaned cells). A zero
+		// slotOf marks an empty cell.
 		occupied := 0
 		for i := range b.slotOf {
-			if b.slotOf[i] >= 0 {
+			if b.slotOf[i] != 0 {
 				occupied++
 			}
 		}

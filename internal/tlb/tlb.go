@@ -6,8 +6,12 @@
 //
 // The paper's default organization is fully associative with random
 // replacement (§5.1); direct-mapped variants are the "/DM" systems of
-// Figure 9. An ObserverBank measures many sizes and organizations from a
-// single simulated request stream (Figures 8 and 9, Tables 2 and 3).
+// Figure 9. A Bank measures many sizes and organizations from a single
+// request stream (Figures 8 and 9, Tables 2 and 3). Observer banks are
+// built by the thousand and most of their buffers never fill, so both are
+// made to cost what they hold: a Bank counts a request that repeats its
+// previous page without touching its buffers, and a FullyAssoc grows its
+// slot list and residency index with its contents, up to capacity.
 package tlb
 
 import (
@@ -87,6 +91,11 @@ func New(entries int, org config.TLBOrg, indexShift uint, seed uint64) (Buffer, 
 // common case is one compare. Replacement state (slots, victim choice, rng
 // stream) is unchanged from the map-based version — the contents, stats,
 // and eviction sequence are bit-identical.
+//
+// Slots and index grow with the contents instead of being sized for full
+// capacity: an observer bank's large buffers typically hold a few dozen
+// pages and never fill. Growth is exact, because victims are chosen by slot
+// number from the rng alone and the index only answers "where is p".
 type FullyAssoc struct {
 	capacity int
 	slots    []addr.PageNum
@@ -96,33 +105,36 @@ type FullyAssoc struct {
 	memo   addr.PageNum // last page that hit or filled
 	memoOK bool
 
-	// Open-addressed index: keys[i] is resident at slot slotOf[i];
-	// slotOf[i] < 0 marks an empty probe cell. Sized to a power of two at
-	// most half full, so probe chains stay short.
+	// Open-addressed index: keys[i] is resident at slot slotOf[i]-1;
+	// slotOf[i] == 0 marks an empty probe cell, so a fresh table needs no
+	// initialization. The table doubles whenever an insert would make it
+	// more than half full, up to maxTab (the smallest power of two, at
+	// least 8, holding 2*capacity cells), so probe chains stay short.
 	keys   []addr.PageNum
 	slotOf []int32
 	mask   uint64
+	maxTab int
 }
+
+// faInitialTable is the index size a fresh FullyAssoc starts with.
+const faInitialTable = 8
 
 // NewFullyAssoc returns a fully-associative buffer with the given capacity,
 // using a deterministic random replacement stream derived from seed.
 func NewFullyAssoc(entries int, seed uint64) *FullyAssoc {
-	tab := 8
-	for tab < 2*entries {
-		tab *= 2
+	maxTab := faInitialTable
+	for maxTab < 2*entries {
+		maxTab *= 2
 	}
-	b := &FullyAssoc{
+	return &FullyAssoc{
 		capacity: entries,
-		slots:    make([]addr.PageNum, 0, entries),
+		slots:    make([]addr.PageNum, 0, min(entries, faInitialTable/2)),
 		rng:      prng.New(seed),
-		keys:     make([]addr.PageNum, tab),
-		slotOf:   make([]int32, tab),
-		mask:     uint64(tab - 1),
+		keys:     make([]addr.PageNum, faInitialTable),
+		slotOf:   make([]int32, faInitialTable),
+		mask:     faInitialTable - 1,
+		maxTab:   maxTab,
 	}
-	for i := range b.slotOf {
-		b.slotOf[i] = -1
-	}
-	return b
 }
 
 func (b *FullyAssoc) home(p addr.PageNum) uint64 {
@@ -132,7 +144,7 @@ func (b *FullyAssoc) home(p addr.PageNum) uint64 {
 // find returns the probe-cell index holding p, or -1.
 func (b *FullyAssoc) find(p addr.PageNum) int {
 	for i := b.home(p); ; i = (i + 1) & b.mask {
-		if b.slotOf[i] < 0 {
+		if b.slotOf[i] == 0 {
 			return -1
 		}
 		if b.keys[i] == p {
@@ -144,15 +156,29 @@ func (b *FullyAssoc) find(p addr.PageNum) int {
 // indexPut records that p is resident at slot s.
 func (b *FullyAssoc) indexPut(p addr.PageNum, s int) {
 	i := b.home(p)
-	for b.slotOf[i] >= 0 {
+	for b.slotOf[i] != 0 {
 		if b.keys[i] == p {
-			b.slotOf[i] = int32(s)
+			b.slotOf[i] = int32(s) + 1
 			return
 		}
 		i = (i + 1) & b.mask
 	}
 	b.keys[i] = p
-	b.slotOf[i] = int32(s)
+	b.slotOf[i] = int32(s) + 1
+}
+
+// grow doubles the index and reinserts every resident page.
+func (b *FullyAssoc) grow() {
+	keys, slotOf := b.keys, b.slotOf
+	n := 2 * len(keys)
+	b.keys = make([]addr.PageNum, n)
+	b.slotOf = make([]int32, n)
+	b.mask = uint64(n - 1)
+	for i, s := range slotOf {
+		if s != 0 {
+			b.indexPut(keys[i], int(s)-1)
+		}
+	}
 }
 
 // indexDelete empties probe cell i, backward-shifting any displaced
@@ -160,11 +186,11 @@ func (b *FullyAssoc) indexPut(p addr.PageNum, s int) {
 func (b *FullyAssoc) indexDelete(i int) {
 	j := uint64(i)
 	for {
-		b.slotOf[j] = -1
+		b.slotOf[j] = 0
 		hole := j
 		for {
 			j = (j + 1) & b.mask
-			if b.slotOf[j] < 0 {
+			if b.slotOf[j] == 0 {
 				return
 			}
 			h := b.home(b.keys[j])
@@ -191,6 +217,9 @@ func (b *FullyAssoc) Access(p addr.PageNum) bool {
 	}
 	b.stats.Misses++
 	if len(b.slots) < b.capacity {
+		if 2*(len(b.slots)+1) > len(b.keys) && len(b.keys) < b.maxTab {
+			b.grow()
+		}
 		b.indexPut(p, len(b.slots))
 		b.slots = append(b.slots, p)
 		b.memo, b.memoOK = p, true
@@ -220,7 +249,7 @@ func (b *FullyAssoc) Invalidate(p addr.PageNum) {
 	if b.memoOK && p == b.memo {
 		b.memoOK = false
 	}
-	s := int(b.slotOf[i])
+	s := int(b.slotOf[i]) - 1
 	last := len(b.slots) - 1
 	b.indexDelete(i)
 	if s != last {
@@ -234,9 +263,7 @@ func (b *FullyAssoc) Invalidate(p addr.PageNum) {
 func (b *FullyAssoc) Flush() {
 	b.slots = b.slots[:0]
 	b.memoOK = false
-	for i := range b.slotOf {
-		b.slotOf[i] = -1
-	}
+	clear(b.slotOf)
 }
 
 // Stats implements Buffer.

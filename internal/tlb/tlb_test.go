@@ -6,6 +6,7 @@ import (
 
 	"vcoma/internal/addr"
 	"vcoma/internal/config"
+	"vcoma/internal/prng"
 )
 
 func TestFullyAssocBasics(t *testing.T) {
@@ -273,5 +274,33 @@ func TestPaperSpecsGrid(t *testing.T) {
 	}
 	if fa != len(PaperSizes) || dm != len(PaperSizes) {
 		t.Fatalf("fa=%d dm=%d", fa, dm)
+	}
+}
+
+// BenchmarkObserverBank builds one bank of the paper's 14-buffer grid per
+// iteration and feeds it a stream shaped like an observer bank's: about 22
+// distinct pages, most requests repeating the previous page. Bytes/op is
+// dominated by construction, so it tracks what a bank costs to hold.
+func BenchmarkObserverBank(b *testing.B) {
+	b.ReportAllocs()
+	rng := prng.New(5)
+	pages := make([]addr.PageNum, 4096)
+	for i := range pages {
+		if i > 0 && rng.Intn(3) != 0 {
+			pages[i] = pages[i-1]
+			continue
+		}
+		pages[i] = addr.PageNum(rng.Intn(22))
+	}
+	specs := PaperSpecs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bank, err := NewBank(specs, 0, uint64(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, p := range pages {
+			bank.Access(p)
+		}
 	}
 }
