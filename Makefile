@@ -26,6 +26,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBankParity -fuzztime 10s ./internal/tlb/
 	$(GO) test -run '^$$' -fuzz FuzzRequestResolve -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzRecordedBuild -fuzztime 30s ./internal/workload/
+	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 10s ./internal/trace/
 	$(GO) test -run '^$$' -fuzz FuzzParseFailpoints -fuzztime 10s ./internal/fsio/
 	$(GO) test -run '^$$' -fuzz FuzzParseChaos -fuzztime 10s ./internal/runner/
 

@@ -92,10 +92,10 @@ func RunChecked(cfg config.Config, bench workload.Benchmark, opt Options) (*Outc
 	}
 	eng.SetStepObserver(func(proc int, ev trace.Event) {
 		d := digests[proc]
-		d = fnvMix(d, uint64(ev.Kind))
-		d = fnvMix(d, uint64(ev.Addr))
-		d = fnvMix(d, ev.Cycles)
-		d = fnvMix(d, uint64(ev.ID))
+		d = fnvMix(d, uint64(ev.Kind()))
+		d = fnvMix(d, uint64(ev.Addr()))
+		d = fnvMix(d, ev.Cycles())
+		d = fnvMix(d, uint64(ev.ID()))
 		digests[proc] = d
 	})
 

@@ -231,9 +231,9 @@ func feedL0(ctx context.Context, cfg config.Config, streams []trace.Stream) (Sch
 			}
 			for _, ev := range batch {
 				events++
-				if ev.Kind == trace.Read || ev.Kind == trace.Write {
+				if k := ev.Kind(); k == trace.Read || k == trace.Write {
 					refs++
-					bank.Access(g.Page(ev.Addr))
+					bank.Access(g.Page(ev.Addr()))
 				}
 				if budget.MaxEvents > 0 && events > budget.MaxEvents {
 					return SchemePass{}, trip(fmt.Sprintf("event budget exceeded (%d > %d retired events)", events, budget.MaxEvents))

@@ -243,12 +243,14 @@ func newEngine(m *machine.Machine, streams []trace.Stream) (*Engine, error) {
 }
 
 // lockAt returns the lock table entry for id, creating it on first use.
+// The dense table grows by append's amortised policy: workloads number
+// their locks from high bases (BARNES from 5000, RAYTRACE from 1000) and
+// reach each new highest ID one at a time, so exact-size growth would copy
+// the whole table per new ID.
 func (e *Engine) lockAt(id int) *lockState {
 	if id >= 0 && id < maxDenseSyncID {
 		if id >= len(e.locks) {
-			grown := make([]lockState, id+1)
-			copy(grown, e.locks)
-			e.locks = grown
+			e.locks = append(e.locks, make([]lockState, id+1-len(e.locks))...)
 		}
 		return &e.locks[id]
 	}
@@ -267,9 +269,7 @@ func (e *Engine) lockAt(id int) *lockState {
 func (e *Engine) barrierAt(id int) *barrierState {
 	if id >= 0 && id < maxDenseSyncID {
 		if id >= len(e.barriers) {
-			grown := make([]barrierState, id+1)
-			copy(grown, e.barriers)
-			e.barriers = grown
+			e.barriers = append(e.barriers, make([]barrierState, id+1-len(e.barriers))...)
 		}
 		return &e.barriers[id]
 	}
@@ -529,13 +529,14 @@ func (e *Engine) step(i int) error {
 		}
 	}
 	e.events++
-	switch ev.Kind {
+	switch k := ev.Kind(); k {
 	case trace.Compute:
-		p.stats.Busy += ev.Cycles
-		p.clock += ev.Cycles
+		c := ev.Payload()
+		p.stats.Busy += c
+		p.clock += c
 	case trace.Read, trace.Write:
 		p.stats.Refs++
-		res := e.m.Access(p.clock, addr.Node(i), ev.Addr, ev.Kind == trace.Write)
+		res := e.m.Access(p.clock, addr.Node(i), addr.Virtual(ev.Payload()), k == trace.Write)
 		p.clock += res.Cycles
 		p.stats.Trans += res.TransCycles
 		stall := res.Cycles - res.TransCycles
@@ -545,15 +546,15 @@ func (e *Engine) step(i int) error {
 			p.stats.StallLocal += stall
 		}
 	case trace.LockAcquire:
-		e.lockAcquire(i, ev.ID)
+		e.lockAcquire(i, ev.ID())
 	case trace.LockRelease:
-		if err := e.lockRelease(i, ev.ID); err != nil {
+		if err := e.lockRelease(i, ev.ID()); err != nil {
 			return err
 		}
 	case trace.Barrier:
-		e.barrierArrive(i, ev.ID)
+		e.barrierArrive(i, ev.ID())
 	default:
-		return fmt.Errorf("sim: processor %d: unknown event kind %v", i, ev.Kind)
+		return fmt.Errorf("sim: processor %d: unknown event kind %v", i, k)
 	}
 	e.noteClock(p.clock)
 	if e.stepObs != nil {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,7 +59,7 @@ func TestStreamCountValidation(t *testing.T) {
 func TestComputeAccountsBusy(t *testing.T) {
 	m := newMachine(t)
 	ss := streams(
-		[]trace.Event{{Kind: trace.Compute, Cycles: 123}},
+		[]trace.Event{trace.MakeCompute(123)},
 		nil, nil, nil,
 	)
 	res := run(t, m, ss)
@@ -76,9 +78,9 @@ func TestMemoryRefsStallAndCount(t *testing.T) {
 	m := newMachine(t)
 	ss := streams(
 		[]trace.Event{
-			{Kind: trace.Read, Addr: 0x10000},
-			{Kind: trace.Read, Addr: 0x10000}, // FLC hit
-			{Kind: trace.Write, Addr: 0x10100},
+			trace.MakeRead(0x10000),
+			trace.MakeRead(0x10000), // FLC hit
+			trace.MakeWrite(0x10100),
 		},
 		nil, nil, nil,
 	)
@@ -98,10 +100,10 @@ func TestMemoryRefsStallAndCount(t *testing.T) {
 func TestBarrierSynchronizes(t *testing.T) {
 	m := newMachine(t)
 	ss := streams(
-		[]trace.Event{{Kind: trace.Compute, Cycles: 1000}, {Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.Compute, Cycles: 50}, {Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
+		[]trace.Event{trace.MakeCompute(1000), trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeCompute(50), trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeBarrier(0)},
 	)
 	res := run(t, m, ss)
 	// Everyone finishes at or after the slowest arrival.
@@ -124,10 +126,10 @@ func TestLockMutualExclusionAndQueueing(t *testing.T) {
 	// All four processors take the same lock around a compute section.
 	evs := func(pre uint64) []trace.Event {
 		return []trace.Event{
-			{Kind: trace.Compute, Cycles: pre},
-			{Kind: trace.LockAcquire, ID: 5},
-			{Kind: trace.Compute, Cycles: 100},
-			{Kind: trace.LockRelease, ID: 5},
+			trace.MakeCompute(pre),
+			trace.MakeLock(5),
+			trace.MakeCompute(100),
+			trace.MakeUnlock(5),
 		}
 	}
 	res := run(t, m, streams(evs(0), evs(1), evs(2), evs(3)))
@@ -147,7 +149,7 @@ func TestLockMutualExclusionAndQueueing(t *testing.T) {
 func TestUnlockWithoutLockFails(t *testing.T) {
 	m := newMachine(t)
 	e, err := New(m, streams(
-		[]trace.Event{{Kind: trace.LockRelease, ID: 1}},
+		[]trace.Event{trace.MakeUnlock(1)},
 		nil, nil, nil,
 	))
 	if err != nil {
@@ -161,9 +163,9 @@ func TestUnlockWithoutLockFails(t *testing.T) {
 func TestUnbalancedBarrierDeadlocks(t *testing.T) {
 	m := newMachine(t)
 	e, err := New(m, streams(
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
+		[]trace.Event{trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeBarrier(0)},
 		nil, // proc 3 never arrives
 	))
 	if err != nil {
@@ -183,8 +185,8 @@ func TestUnbalancedBarrierDeadlocks(t *testing.T) {
 func TestLockNeverGrantedTwice(t *testing.T) {
 	m := newMachine(t)
 	e, err := New(m, streams(
-		[]trace.Event{{Kind: trace.LockAcquire, ID: 9}},
-		[]trace.Event{{Kind: trace.LockAcquire, ID: 9}}, // blocks forever
+		[]trace.Event{trace.MakeLock(9)},
+		[]trace.Event{trace.MakeLock(9)}, // blocks forever
 		nil, nil,
 	))
 	if err != nil {
@@ -209,9 +211,9 @@ func TestDeadlockClassifiesMixedWaiters(t *testing.T) {
 	// barrier waiters (the seed code counted all three as lock waiters AND
 	// reported the barrier arrivals on top).
 	e, err := New(m, streams(
-		[]trace.Event{{Kind: trace.LockAcquire, ID: 1}, {Kind: trace.Barrier, ID: 0}},
-		[]trace.Event{{Kind: trace.LockAcquire, ID: 1}},
-		[]trace.Event{{Kind: trace.Barrier, ID: 0}},
+		[]trace.Event{trace.MakeLock(1), trace.MakeBarrier(0)},
+		[]trace.Event{trace.MakeLock(1)},
+		[]trace.Event{trace.MakeBarrier(0)},
 		nil,
 	))
 	if err != nil {
@@ -235,14 +237,14 @@ func TestMaxClockSeesLockGrant(t *testing.T) {
 	m := newMachine(t)
 	e, err := New(m, streams(
 		[]trace.Event{
-			{Kind: trace.LockAcquire, ID: 7},
-			{Kind: trace.Compute, Cycles: 500},
-			{Kind: trace.LockRelease, ID: 7},
+			trace.MakeLock(7),
+			trace.MakeCompute(500),
+			trace.MakeUnlock(7),
 		},
 		// Proc 1 blocks on the lock and finishes the moment it is granted:
 		// the grant is the last advance of its clock, and it is performed by
 		// proc 0's release step.
-		[]trace.Event{{Kind: trace.LockAcquire, ID: 7}},
+		[]trace.Event{trace.MakeLock(7)},
 		nil, nil,
 	))
 	if err != nil {
@@ -268,7 +270,7 @@ func TestMaxClockSeesBarrierRelease(t *testing.T) {
 	m := newMachine(t)
 	var evs [][]trace.Event
 	for p := 0; p < 4; p++ {
-		evs = append(evs, []trace.Event{{Kind: trace.Barrier, ID: 0}})
+		evs = append(evs, []trace.Event{trace.MakeBarrier(0)})
 	}
 	e, err := New(m, streams(evs...))
 	if err != nil {
@@ -320,8 +322,8 @@ func TestDeterminism(t *testing.T) {
 func TestTotalProc(t *testing.T) {
 	m := newMachine(t)
 	res := run(t, m, streams(
-		[]trace.Event{{Kind: trace.Compute, Cycles: 10}},
-		[]trace.Event{{Kind: trace.Compute, Cycles: 30}},
+		[]trace.Event{trace.MakeCompute(10)},
+		[]trace.Event{trace.MakeCompute(30)},
 		nil, nil,
 	))
 	tot := res.TotalProc()
@@ -337,10 +339,10 @@ func TestLockGrantsAreFIFO(t *testing.T) {
 	// order.
 	evs := func(pre uint64) []trace.Event {
 		return []trace.Event{
-			{Kind: trace.Compute, Cycles: pre},
-			{Kind: trace.LockAcquire, ID: 1},
-			{Kind: trace.Compute, Cycles: 10},
-			{Kind: trace.LockRelease, ID: 1},
+			trace.MakeCompute(pre),
+			trace.MakeLock(1),
+			trace.MakeCompute(10),
+			trace.MakeUnlock(1),
 		}
 	}
 	res := run(t, m, streams(evs(0), evs(100), evs(200), evs(300)))
@@ -357,7 +359,7 @@ func TestBarrierReleaseStagger(t *testing.T) {
 	m := newMachine(t)
 	var evs [][]trace.Event
 	for p := 0; p < 4; p++ {
-		evs = append(evs, []trace.Event{{Kind: trace.Barrier, ID: 0}})
+		evs = append(evs, []trace.Event{trace.MakeBarrier(0)})
 	}
 	res := run(t, m, streams(evs...))
 	finishes := map[uint64]bool{}
@@ -438,11 +440,11 @@ func TestSyncIDOverflowTables(t *testing.T) {
 		var evs []trace.Event
 		for _, id := range ids {
 			evs = append(evs,
-				trace.Event{Kind: trace.Compute, Cycles: uint64(1 + p)},
-				trace.Event{Kind: trace.LockAcquire, ID: id},
-				trace.Event{Kind: trace.Compute, Cycles: 5},
-				trace.Event{Kind: trace.LockRelease, ID: id},
-				trace.Event{Kind: trace.Barrier, ID: id},
+				trace.MakeCompute(uint64(1+p)),
+				trace.MakeLock(id),
+				trace.MakeCompute(5),
+				trace.MakeUnlock(id),
+				trace.MakeBarrier(id),
 			)
 		}
 		events[p] = evs
@@ -470,4 +472,45 @@ func TestPackSchedKeyOverflowPanics(t *testing.T) {
 		}
 	}()
 	packSchedKey(1<<48, 0)
+}
+
+// TestSyncTablesListEverySyncObject pins what the deadlock error and the
+// watchdog dump report when lock and barrier IDs grow the dense tables out
+// of order (high IDs first, as BARNES and RAYTRACE number theirs) and spill
+// into the overflow maps: every held or queued lock and every barrier
+// holding arrivals, dense IDs ascending then overflow IDs ascending, and
+// nothing that was used and let go.
+func TestSyncTablesListEverySyncObject(t *testing.T) {
+	m := newMachine(t)
+	e, err := New(m, streams(
+		[]trace.Event{trace.MakeBarrier(0),
+			trace.MakeLock(5000), trace.MakeLock(3), trace.MakeLock(maxDenseSyncID), trace.MakeLock(-7),
+			trace.MakeBarrier(1000)},
+		[]trace.Event{trace.MakeBarrier(0), trace.MakeCompute(1000),
+			trace.MakeLock(1000), trace.MakeLock(maxDenseSyncID - 1), trace.MakeLock(5000)},
+		[]trace.Event{trace.MakeBarrier(0),
+			trace.MakeLock(4000), trace.MakeUnlock(4000), trace.MakeBarrier(2)},
+		[]trace.Event{trace.MakeBarrier(0),
+			trace.MakeLock(1 << 20), trace.MakeBarrier(maxDenseSyncID + 5)},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = e.Run()
+	if want := "0 done, 4 waiting (1 at locks, 3 at barriers) of 4"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("deadlock error %v, want %q", err, want)
+	}
+	d := e.dump("test")
+	var locks, barriers []string
+	for _, l := range d.Locks {
+		locks = append(locks, fmt.Sprintf("%d:%d%v", l.ID, l.Owner, l.Queue))
+	}
+	for _, b := range d.Barriers {
+		barriers = append(barriers, fmt.Sprintf("%d:%v", b.ID, b.Arrived))
+	}
+	wantLocks := []string{"3:0[]", "1000:1[]", "5000:0[1]", "65535:1[]", "-7:0[]", "65536:0[]", "1048576:3[]"}
+	wantBarriers := []string{"2:[2]", "1000:[0]", "65541:[3]"}
+	if !slices.Equal(locks, wantLocks) || !slices.Equal(barriers, wantBarriers) {
+		t.Fatalf("dump lists locks %v and barriers %v; want %v and %v", locks, barriers, wantLocks, wantBarriers)
+	}
 }

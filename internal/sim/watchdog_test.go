@@ -42,10 +42,10 @@ func newTestEngine(t *testing.T, streams []trace.Stream) *Engine {
 // proc 2 queues on that lock, and proc 3 spins zero-cost compute events.
 func livelockStreams() []trace.Stream {
 	return []trace.Stream{
-		trace.NewSliceStream([]trace.Event{{Kind: trace.Barrier, ID: 1}}),
-		trace.NewSliceStream([]trace.Event{{Kind: trace.LockAcquire, ID: 7}}),
-		trace.NewSliceStream([]trace.Event{{Kind: trace.LockAcquire, ID: 7}}),
-		repeatStream{trace.Event{Kind: trace.Compute, Cycles: 0}},
+		trace.NewSliceStream([]trace.Event{trace.MakeBarrier(1)}),
+		trace.NewSliceStream([]trace.Event{trace.MakeLock(7)}),
+		trace.NewSliceStream([]trace.Event{trace.MakeLock(7)}),
+		repeatStream{trace.MakeCompute(0)},
 	}
 }
 
@@ -119,7 +119,7 @@ func TestWatchdogDumpGolden(t *testing.T) {
 
 func TestWatchdogCycleBudget(t *testing.T) {
 	streams := []trace.Stream{
-		repeatStream{trace.Event{Kind: trace.Compute, Cycles: 100}},
+		repeatStream{trace.MakeCompute(100)},
 		trace.NewSliceStream(nil),
 		trace.NewSliceStream(nil),
 		trace.NewSliceStream(nil),
@@ -182,9 +182,9 @@ func TestWatchdogObservational(t *testing.T) {
 		var streams []trace.Stream
 		for p := 0; p < 4; p++ {
 			streams = append(streams, trace.NewSliceStream([]trace.Event{
-				{Kind: trace.Compute, Cycles: 10},
-				{Kind: trace.Barrier, ID: 1},
-				{Kind: trace.Compute, Cycles: 5},
+				trace.MakeCompute(10),
+				trace.MakeBarrier(1),
+				trace.MakeCompute(5),
 			}))
 		}
 		return streams

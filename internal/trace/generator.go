@@ -17,12 +17,13 @@ type eventBatch [generatorBatch]Event
 // batchPool recycles event batches across every Generator in the process:
 // a batch its consumer has finished goes back to the pool and the next
 // flush of any stream refills it, so a machine build reuses the batches of
-// the streams before it instead of allocating fresh ones per stream. It
-// holds up to 128 spare batches (4 MB), enough for every stream of a
-// paper-scale machine (32 streams, three batches each); a batch returned to
-// a full pool is left to the garbage collector. A buffered channel rather
-// than a sync.Pool: producer and consumer run on different Ps, and
-// sync.Pool's cross-P steal made generation ~25% slower.
+// the streams before it instead of allocating fresh ones per stream. A
+// batch is 8 KB (1024 one-word events); the pool holds up to 128 spares
+// (1 MB), enough for every stream of a paper-scale machine (32 streams,
+// three batches each), and a batch returned to a full pool is left to the
+// garbage collector. A buffered channel rather than a sync.Pool: producer
+// and consumer run on different Ps, and sync.Pool's cross-P steal made
+// generation ~25% slower.
 var batchPool = make(chan *eventBatch, 128)
 
 // batchesOut counts batches taken from batchPool and not yet returned, so
@@ -168,7 +169,9 @@ func (g *Generator) Close() {
 }
 
 // Emitter is the API workload programs use to emit events. It buffers events
-// into batches; flushes happen automatically.
+// into batches; flushes happen automatically. Every method panics on a
+// payload an Event cannot hold (see Event), which surfaces on the consumer
+// side like any other workload bug.
 type Emitter struct {
 	gen   *Generator
 	batch []Event
@@ -204,10 +207,10 @@ func (e *Emitter) send() {
 }
 
 // Read emits a shared-data load at v.
-func (e *Emitter) Read(v addr.Virtual) { e.emit(Event{Kind: Read, Addr: v}) }
+func (e *Emitter) Read(v addr.Virtual) { e.emit(MakeRead(v)) }
 
 // Write emits a shared-data store at v.
-func (e *Emitter) Write(v addr.Virtual) { e.emit(Event{Kind: Write, Addr: v}) }
+func (e *Emitter) Write(v addr.Virtual) { e.emit(MakeWrite(v)) }
 
 // Compute emits a compute delay of the given cycles; zero-cycle delays are
 // dropped.
@@ -215,17 +218,17 @@ func (e *Emitter) Compute(cycles uint64) {
 	if cycles == 0 {
 		return
 	}
-	e.emit(Event{Kind: Compute, Cycles: cycles})
+	e.emit(MakeCompute(cycles))
 }
 
 // Lock emits a lock acquisition of lock id.
-func (e *Emitter) Lock(id int) { e.emit(Event{Kind: LockAcquire, ID: id}) }
+func (e *Emitter) Lock(id int) { e.emit(MakeLock(id)) }
 
 // Unlock emits a release of lock id.
-func (e *Emitter) Unlock(id int) { e.emit(Event{Kind: LockRelease, ID: id}) }
+func (e *Emitter) Unlock(id int) { e.emit(MakeUnlock(id)) }
 
 // Barrier emits arrival at barrier id.
-func (e *Emitter) Barrier(id int) { e.emit(Event{Kind: Barrier, ID: id}) }
+func (e *Emitter) Barrier(id int) { e.emit(MakeBarrier(id)) }
 
 // ReadRange emits loads covering [base, base+bytes) at stride-sized steps.
 // Use the FLC block size as stride to model a sequential scan.

@@ -43,7 +43,7 @@ func TestGeneratorHeldBatchNotOverwritten(t *testing.T) {
 				}
 				for pass := 0; pass < 2; pass++ {
 					for k, ev := range b {
-						if ev.Addr != seqAddr(id, next+k) {
+						if ev.Addr() != seqAddr(id, next+k) {
 							errs <- "stream event overwritten or out of order"
 							return
 						}

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-
-	"vcoma/internal/addr"
 )
 
 // This file implements trace capture and replay: any Stream can be recorded
@@ -16,8 +14,10 @@ import (
 // generator.
 //
 // Format: an 8-byte header ("VCOMATR" + a version byte), then one record per
-// event: a kind byte followed by a varint payload (address for memory
-// events, cycles for compute, id for synchronization events).
+// event: a kind byte followed by a minimal uvarint payload (address for
+// memory events, cycles for compute, id for synchronization events as its
+// 64-bit two's complement). A payload outside Event's range is rejected on
+// read, so every accepted trace re-records byte for byte.
 
 const (
 	traceMagic   = "VCOMATR"
@@ -47,17 +47,13 @@ func Record(w io.Writer, s Stream) (uint64, error) {
 }
 
 func writeEvent(w *bufio.Writer, ev Event) error {
-	if err := w.WriteByte(byte(ev.Kind)); err != nil {
+	k := ev.Kind()
+	if err := w.WriteByte(byte(k)); err != nil {
 		return err
 	}
-	var payload uint64
-	switch ev.Kind {
-	case Read, Write:
-		payload = uint64(ev.Addr)
-	case Compute:
-		payload = ev.Cycles
-	case LockAcquire, LockRelease, Barrier:
-		payload = uint64(ev.ID)
+	payload := ev.Payload()
+	if k == LockAcquire || k == LockRelease || k == Barrier {
+		payload = uint64(ev.ID()) // 64-bit two's complement on disk
 	}
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], payload)
@@ -88,7 +84,10 @@ func NewReader(r io.Reader) (*Reader, error) {
 	return &Reader{r: br}, nil
 }
 
-// Next implements Stream.
+// Next implements Stream. A record the Event word cannot hold — an unknown
+// kind, an address or cycle count above MaxPayload, an ID outside [MinID,
+// MaxID], or a payload varint longer than its minimal encoding — ends the
+// stream with a decode error in Err; nothing is truncated.
 func (rd *Reader) Next() (Event, bool) {
 	if rd.done || rd.err != nil {
 		return Event{}, false
@@ -99,30 +98,46 @@ func (rd *Reader) Next() (Event, bool) {
 		return Event{}, false
 	}
 	if err != nil {
-		rd.err = err
-		rd.done = true
-		return Event{}, false
+		return rd.fail(err)
 	}
-	payload, err := binary.ReadUvarint(rd.r)
-	if err != nil {
-		rd.err = fmt.Errorf("trace: truncated event: %w", err)
-		rd.done = true
-		return Event{}, false
+	// Decode the payload in place (Peek returns fewer bytes near the end)
+	// so its length can be checked: a minimal uvarint's last byte is
+	// non-zero unless it is the only one.
+	buf, perr := rd.r.Peek(binary.MaxVarintLen64)
+	payload, n := binary.Uvarint(buf)
+	if n < 0 {
+		return rd.fail(fmt.Errorf("trace: payload varint overflows 64 bits"))
 	}
-	ev := Event{Kind: Kind(kindByte)}
-	switch ev.Kind {
-	case Read, Write:
-		ev.Addr = addr.Virtual(payload)
-	case Compute:
-		ev.Cycles = payload
+	if n == 0 {
+		if perr == nil || perr == io.EOF {
+			perr = io.ErrUnexpectedEOF
+		}
+		return rd.fail(fmt.Errorf("trace: truncated event: %w", perr))
+	}
+	if n > 1 && buf[n-1] == 0 {
+		return rd.fail(fmt.Errorf("trace: non-minimal %d-byte payload %#x", n, payload))
+	}
+	rd.r.Discard(n) // the n bytes were peeked, so this cannot fail
+	k := Kind(kindByte)
+	switch k {
+	case Read, Write, Compute:
+		if payload > MaxPayload {
+			return rd.fail(fmt.Errorf("trace: %v payload %#x exceeds %d bits", k, payload, 64-kindBits))
+		}
 	case LockAcquire, LockRelease, Barrier:
-		ev.ID = int(payload)
+		if id := int64(payload); id < MinID || id > MaxID {
+			return rd.fail(fmt.Errorf("trace: %v id %d outside [%d, %d]", k, id, MinID, MaxID))
+		}
 	default:
-		rd.err = fmt.Errorf("trace: unknown event kind %d", kindByte)
-		rd.done = true
-		return Event{}, false
+		return rd.fail(fmt.Errorf("trace: unknown event kind %d", kindByte))
 	}
-	return ev, true
+	return pack(k, payload), true
+}
+
+func (rd *Reader) fail(err error) (Event, bool) {
+	rd.err = err
+	rd.done = true
+	return Event{}, false
 }
 
 // Err returns the first decode error, if any (a clean EOF is not an error).

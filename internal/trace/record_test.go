@@ -11,12 +11,12 @@ import (
 
 func TestRecordReplayRoundTrip(t *testing.T) {
 	events := []Event{
-		{Kind: Read, Addr: 0x123456},
-		{Kind: Write, Addr: 0xABCDEF0},
-		{Kind: Compute, Cycles: 999},
-		{Kind: LockAcquire, ID: 17},
-		{Kind: LockRelease, ID: 17},
-		{Kind: Barrier, ID: 3},
+		MakeRead(0x123456),
+		MakeWrite(0xABCDEF0),
+		MakeCompute(999),
+		MakeLock(17),
+		MakeUnlock(17),
+		MakeBarrier(3),
 	}
 	var buf bytes.Buffer
 	n, err := Record(&buf, NewSliceStream(events))
@@ -53,17 +53,17 @@ func TestRecordReplayProperty(t *testing.T) {
 		for i := range events {
 			switch rng.Intn(6) {
 			case 0:
-				events[i] = Event{Kind: Read, Addr: addr.Virtual(rng.Uint64() >> 8)}
+				events[i] = MakeRead(addr.Virtual(rng.Uint64() >> 8))
 			case 1:
-				events[i] = Event{Kind: Write, Addr: addr.Virtual(rng.Uint64() >> 8)}
+				events[i] = MakeWrite(addr.Virtual(rng.Uint64() >> 8))
 			case 2:
-				events[i] = Event{Kind: Compute, Cycles: rng.Uint64n(1 << 30)}
+				events[i] = MakeCompute(rng.Uint64n(1 << 30))
 			case 3:
-				events[i] = Event{Kind: LockAcquire, ID: rng.Intn(1000)}
+				events[i] = MakeLock(rng.Intn(1000))
 			case 4:
-				events[i] = Event{Kind: LockRelease, ID: rng.Intn(1000)}
+				events[i] = MakeUnlock(rng.Intn(1000))
 			default:
-				events[i] = Event{Kind: Barrier, ID: rng.Intn(1000)}
+				events[i] = MakeBarrier(rng.Intn(1000))
 			}
 		}
 		var buf bytes.Buffer
@@ -104,7 +104,7 @@ func TestReaderRejectsGarbage(t *testing.T) {
 
 func TestReaderTruncatedEvent(t *testing.T) {
 	var buf bytes.Buffer
-	if _, err := Record(&buf, NewSliceStream([]Event{{Kind: Read, Addr: 0xFFFFFFFF}})); err != nil {
+	if _, err := Record(&buf, NewSliceStream([]Event{MakeRead(0xFFFFFFFF)})); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

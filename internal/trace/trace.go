@@ -5,6 +5,12 @@
 // A workload is a set of per-processor event Streams. Only shared-data
 // accesses are emitted, matching the paper's methodology (§5.1): private
 // stack/instruction traffic is folded into Compute events.
+//
+// An Event is one 64-bit word: a 3-bit Kind and a 61-bit payload (address,
+// cycle count, or sign-extended synchronization ID). A payload the word
+// cannot hold — an address or cycle count of 1<<61 or more, an ID outside
+// [-1<<60, 1<<60) — is a workload bug when emitted and a decode error when
+// read from a recorded trace; it is never truncated.
 package trace
 
 import (
@@ -52,12 +58,111 @@ func (k Kind) String() string {
 	}
 }
 
-// Event is one step of a processor's program.
-type Event struct {
-	Kind   Kind
-	Addr   addr.Virtual // Read, Write
-	Cycles uint64       // Compute
-	ID     int          // LockAcquire, LockRelease, Barrier
+// Event is one step of a processor's program, packed into one 64-bit word:
+// the Kind in the low 3 bits and the kind's payload in the 61 bits above —
+// the address of a Read or Write, the cycle count of a Compute, or the ID of
+// a LockAcquire, LockRelease or Barrier. Addresses and cycle counts must be
+// below 1<<61 (MaxPayload+1); IDs are stored two's-complement and must lie
+// in [MinID, MaxID]. The constructors panic outside those ranges (a
+// workload bug); Reader rejects them with a decode error. The zero Event is
+// a Read of address 0.
+//
+// One word because every event crosses cores: a generator goroutine writes
+// it into a batch and the engine reads it on another core, so the event's
+// size is the cross-core traffic per simulated step.
+type Event struct{ w uint64 }
+
+const (
+	kindBits = 3
+	kindMask = 1<<kindBits - 1
+
+	// MaxPayload is the largest address or cycle count an Event holds.
+	MaxPayload = 1<<(64-kindBits) - 1
+	// MinID and MaxID bound a synchronization ID: the payload bits read as
+	// a signed integer.
+	MinID = -1 << (63 - kindBits)
+	MaxID = 1<<(63-kindBits) - 1
+)
+
+func pack(k Kind, payload uint64) Event { return Event{payload<<kindBits | uint64(k)} }
+
+func makeUnsigned(k Kind, payload uint64) Event {
+	if payload > MaxPayload {
+		panic(fmt.Sprintf("trace: %v payload %#x exceeds %d bits", k, payload, 64-kindBits))
+	}
+	return pack(k, payload)
+}
+
+func makeSync(k Kind, id int) Event {
+	if id < MinID || id > MaxID {
+		panic(fmt.Sprintf("trace: %v id %d outside [%d, %d]", k, id, MinID, MaxID))
+	}
+	return pack(k, uint64(id))
+}
+
+// MakeRead returns a shared-data load at v.
+func MakeRead(v addr.Virtual) Event { return makeUnsigned(Read, uint64(v)) }
+
+// MakeWrite returns a shared-data store at v.
+func MakeWrite(v addr.Virtual) Event { return makeUnsigned(Write, uint64(v)) }
+
+// MakeCompute returns a compute delay of cycles.
+func MakeCompute(cycles uint64) Event { return makeUnsigned(Compute, cycles) }
+
+// MakeLock returns an acquisition of lock id.
+func MakeLock(id int) Event { return makeSync(LockAcquire, id) }
+
+// MakeUnlock returns a release of lock id.
+func MakeUnlock(id int) Event { return makeSync(LockRelease, id) }
+
+// MakeBarrier returns an arrival at barrier id.
+func MakeBarrier(id int) Event { return makeSync(Barrier, id) }
+
+// Kind returns the event's type.
+func (e Event) Kind() Kind { return Kind(e.w & kindMask) }
+
+// Payload returns the raw 61 payload bits whatever the kind: an address or
+// cycle count as is, an ID without its sign extension (ID gives the signed
+// value). Hot loops that have already switched on Kind read it once;
+// everyone else uses the typed accessors.
+func (e Event) Payload() uint64 { return e.w >> kindBits }
+
+// Addr returns a Read's or Write's address, and 0 for any other kind.
+func (e Event) Addr() addr.Virtual {
+	if k := e.Kind(); k == Read || k == Write {
+		return addr.Virtual(e.Payload())
+	}
+	return 0
+}
+
+// Cycles returns a Compute's cycle count, and 0 for any other kind.
+func (e Event) Cycles() uint64 {
+	if e.Kind() == Compute {
+		return e.Payload()
+	}
+	return 0
+}
+
+// ID returns a LockAcquire's, LockRelease's or Barrier's ID (sign-extended
+// from the payload), and 0 for any other kind.
+func (e Event) ID() int {
+	switch e.Kind() {
+	case LockAcquire, LockRelease, Barrier:
+		return int(int64(e.w) >> kindBits)
+	}
+	return 0
+}
+
+// String renders the event as "read 0x1000", "compute 5", "lock 3".
+func (e Event) String() string {
+	switch k := e.Kind(); k {
+	case Read, Write:
+		return fmt.Sprintf("%v %#x", k, e.Payload())
+	case Compute:
+		return fmt.Sprintf("%v %d", k, e.Payload())
+	default:
+		return fmt.Sprintf("%v %d", k, e.ID())
+	}
 }
 
 // Stream produces a processor's events in program order. Next returns
@@ -167,14 +272,14 @@ func Measure(s Stream, g addr.Geometry) Stats {
 		if !ok {
 			break
 		}
-		switch e.Kind {
+		switch e.Kind() {
 		case Read:
 			st.Reads++
 		case Write:
 			st.Writes++
 		case Compute:
 			st.ComputeEvents++
-			st.ComputeCycles += e.Cycles
+			st.ComputeCycles += e.Cycles()
 		case LockAcquire:
 			st.Locks++
 		case LockRelease:
@@ -182,14 +287,15 @@ func Measure(s Stream, g addr.Geometry) Stats {
 		case Barrier:
 			st.Barriers++
 		}
-		if e.Kind == Read || e.Kind == Write {
-			pages[g.Page(e.Addr)] = struct{}{}
-			blocks[g.Block(e.Addr)] = struct{}{}
+		if k := e.Kind(); k == Read || k == Write {
+			a := e.Addr()
+			pages[g.Page(a)] = struct{}{}
+			blocks[g.Block(a)] = struct{}{}
 			if first {
-				st.FirstAddr = e.Addr
+				st.FirstAddr = a
 				first = false
 			}
-			st.LastAddr = e.Addr
+			st.LastAddr = a
 		}
 	}
 	st.DistinctPages = len(pages)

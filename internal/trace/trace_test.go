@@ -12,9 +12,9 @@ func testGeometry() addr.Geometry {
 
 func TestSliceStream(t *testing.T) {
 	events := []Event{
-		{Kind: Read, Addr: 0x100},
-		{Kind: Write, Addr: 0x200},
-		{Kind: Barrier, ID: 3},
+		MakeRead(0x100),
+		MakeWrite(0x200),
+		MakeBarrier(3),
 	}
 	s := NewSliceStream(events)
 	for i, want := range events {
@@ -43,7 +43,7 @@ func TestGeneratorOrderAndCompletion(t *testing.T) {
 		if !ok {
 			t.Fatalf("stream ended early at %d", i)
 		}
-		if ev.Kind != Read || ev.Addr != addr.Virtual(i) {
+		if ev.Kind() != Read || ev.Addr() != addr.Virtual(i) {
 			t.Fatalf("event %d out of order: %+v", i, ev)
 		}
 	}
@@ -101,11 +101,11 @@ func TestEmitterKinds(t *testing.T) {
 		t.Fatalf("got %d events, want %d", len(events), len(wantKinds))
 	}
 	for i, k := range wantKinds {
-		if events[i].Kind != k {
-			t.Fatalf("event %d kind %v, want %v", i, events[i].Kind, k)
+		if events[i].Kind() != k {
+			t.Fatalf("event %d kind %v, want %v", i, events[i].Kind(), k)
 		}
 	}
-	if events[2].Cycles != 5 || events[3].ID != 7 || events[5].ID != 9 {
+	if events[2].Cycles() != 5 || events[3].ID() != 7 || events[5].ID() != 9 {
 		t.Fatal("event payloads wrong")
 	}
 }
@@ -120,12 +120,12 @@ func TestRanges(t *testing.T) {
 		t.Fatalf("got %d events", len(events))
 	}
 	for i := 0; i < 4; i++ {
-		if events[i].Kind != Read || events[i].Addr != addr.Virtual(0x1000+32*i) {
+		if events[i].Kind() != Read || events[i].Addr() != addr.Virtual(0x1000+32*i) {
 			t.Fatalf("read %d: %+v", i, events[i])
 		}
 	}
 	for i := 0; i < 4; i++ {
-		if events[4+i].Kind != Write || events[4+i].Addr != addr.Virtual(0x2000+16*i) {
+		if events[4+i].Kind() != Write || events[4+i].Addr() != addr.Virtual(0x2000+16*i) {
 			t.Fatalf("write %d: %+v", i, events[4+i])
 		}
 	}
@@ -144,13 +144,13 @@ func TestZeroStridePanics(t *testing.T) {
 func TestMeasure(t *testing.T) {
 	g := testGeometry()
 	s := NewSliceStream([]Event{
-		{Kind: Read, Addr: 0x100},
-		{Kind: Read, Addr: 0x104}, // same page, same block
-		{Kind: Write, Addr: 0x200},
-		{Kind: Compute, Cycles: 11},
-		{Kind: LockAcquire, ID: 1},
-		{Kind: LockRelease, ID: 1},
-		{Kind: Barrier, ID: 0},
+		MakeRead(0x100),
+		MakeRead(0x104), // same page, same block
+		MakeWrite(0x200),
+		MakeCompute(11),
+		MakeLock(1),
+		MakeUnlock(1),
+		MakeBarrier(0),
 	})
 	st := Measure(s, g)
 	if st.Reads != 2 || st.Writes != 1 || st.MemoryRefs() != 3 {

@@ -46,8 +46,8 @@ func TestFFTTransposeIsAllToAll(t *testing.T) {
 			break
 		}
 		count++
-		if ev.Kind == trace.Read && uint64(ev.Addr) >= xLo && uint64(ev.Addr) < xHi {
-			ownersRead[int((uint64(ev.Addr)-xLo)/quarter)] = true
+		if ev.Kind() == trace.Read && uint64(ev.Addr()) >= xLo && uint64(ev.Addr()) < xHi {
+			ownersRead[int((uint64(ev.Addr())-xLo)/quarter)] = true
 		}
 	}
 	if len(ownersRead) < 4 {
@@ -108,10 +108,10 @@ func TestOceanHaloCrossesPartitions(t *testing.T) {
 		if !ok {
 			break
 		}
-		if ev.Kind != trace.Read || !grid0.Contains(ev.Addr) {
+		if ev.Kind() != trace.Read || !grid0.Contains(ev.Addr()) {
 			continue
 		}
-		row := int(uint64(ev.Addr-grid0.Base) / rowBytes)
+		row := int(uint64(ev.Addr()-grid0.Base) / rowBytes)
 		if row == lo { // the row above proc 1's first interior row
 			sawNorth = true
 		}
@@ -171,10 +171,10 @@ func TestRaytraceStacksArePrivate(t *testing.T) {
 			if !ok {
 				break
 			}
-			if ev.Kind != trace.Read && ev.Kind != trace.Write {
+			if ev.Kind() != trace.Read && ev.Kind() != trace.Write {
 				continue
 			}
-			a := uint64(ev.Addr)
+			a := uint64(ev.Addr())
 			for q, st := range stacks {
 				if a >= st.lo && a < st.hi && q != p {
 					t.Fatalf("proc %d touched proc %d's private stack", p, q)
@@ -209,7 +209,7 @@ func TestBarnesTreeWalkReadsSharedTopCells(t *testing.T) {
 			if !ok {
 				break
 			}
-			if ev.Kind == trace.Read && ev.Addr >= cells.Base && ev.Addr < cells.Base+addr.Virtual(barnesCellBytes) {
+			if ev.Kind() == trace.Read && ev.Addr() >= cells.Base && ev.Addr() < cells.Base+addr.Virtual(barnesCellBytes) {
 				sawRoot = true
 			}
 		}

@@ -36,10 +36,10 @@ func TestMicroStreamIsPrivateAndSequential(t *testing.T) {
 			if !ok {
 				break
 			}
-			if ev.Kind != trace.Read {
+			if ev.Kind() != trace.Read {
 				continue
 			}
-			a := uint64(ev.Addr)
+			a := uint64(ev.Addr())
 			if !first && a != prev && a != prev+8 {
 				t.Fatalf("proc %d: non-sequential read %#x after %#x", p, a, prev)
 			}
@@ -80,8 +80,8 @@ func TestMicroChaseIsAPermutationWalk(t *testing.T) {
 		if !ok {
 			break
 		}
-		if ev.Kind == trace.Read {
-			seen[uint64(ev.Addr)]++
+		if ev.Kind() == trace.Read {
+			seen[uint64(ev.Addr())]++
 		}
 	}
 	if len(seen) != nodes {

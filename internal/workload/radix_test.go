@@ -102,7 +102,7 @@ func TestRadixWritesSpreadAcrossOutput(t *testing.T) {
 			if !ok {
 				break
 			}
-			a := uint64(ev.Addr)
+			a := uint64(ev.Addr())
 			if a >= key1Lo && a < key1Hi {
 				pagesTouched[a>>g.PageBits] = true
 			}

@@ -21,12 +21,12 @@ import (
 func FuzzRecordedBuild(f *testing.F) {
 	var vct bytes.Buffer
 	if _, err := trace.Record(&vct, trace.NewSliceStream([]trace.Event{
-		{Kind: trace.Read, Addr: 1 << 20},
-		{Kind: trace.Write, Addr: 1<<20 + 300},
-		{Kind: trace.Compute, Cycles: 10},
-		{Kind: trace.LockAcquire, ID: 1},
-		{Kind: trace.LockRelease, ID: 1},
-		{Kind: trace.Barrier},
+		trace.MakeRead(1 << 20),
+		trace.MakeWrite(1<<20 + 300),
+		trace.MakeCompute(10),
+		trace.MakeLock(1),
+		trace.MakeUnlock(1),
+		trace.MakeBarrier(0),
 	})); err != nil {
 		f.Fatal(err)
 	}

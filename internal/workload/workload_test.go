@@ -80,27 +80,27 @@ func checkProgram(t *testing.T, pr *Program) {
 		var barriers []int
 		held := map[int]bool{}
 		for i, ev := range evs {
-			switch ev.Kind {
+			switch ev.Kind() {
 			case trace.Read, trace.Write:
 				totalRefs++
-				if _, ok := l.Find(ev.Addr); !ok {
-					t.Fatalf("proc %d event %d: address %#x outside every region", p, i, uint64(ev.Addr))
+				if _, ok := l.Find(ev.Addr()); !ok {
+					t.Fatalf("proc %d event %d: address %#x outside every region", p, i, uint64(ev.Addr()))
 				}
 			case trace.Barrier:
 				if len(held) != 0 {
-					t.Fatalf("proc %d: barrier %d reached holding locks %v", p, ev.ID, held)
+					t.Fatalf("proc %d: barrier %d reached holding locks %v", p, ev.ID(), held)
 				}
-				barriers = append(barriers, ev.ID)
+				barriers = append(barriers, ev.ID())
 			case trace.LockAcquire:
-				if held[ev.ID] {
-					t.Fatalf("proc %d: recursive lock %d", p, ev.ID)
+				if held[ev.ID()] {
+					t.Fatalf("proc %d: recursive lock %d", p, ev.ID())
 				}
-				held[ev.ID] = true
+				held[ev.ID()] = true
 			case trace.LockRelease:
-				if !held[ev.ID] {
-					t.Fatalf("proc %d: releasing unheld lock %d", p, ev.ID)
+				if !held[ev.ID()] {
+					t.Fatalf("proc %d: releasing unheld lock %d", p, ev.ID())
 				}
-				delete(held, ev.ID)
+				delete(held, ev.ID())
 			}
 		}
 		if len(held) != 0 {
