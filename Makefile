@@ -24,6 +24,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMachine -fuzztime 30s ./internal/check/
 	$(GO) test -run '^$$' -fuzz FuzzBufferParity -fuzztime 10s ./internal/tlb/
 	$(GO) test -run '^$$' -fuzz FuzzBankParity -fuzztime 10s ./internal/tlb/
+	$(GO) test -run '^$$' -fuzz FuzzCacheModel -fuzztime 10s ./internal/cache/
 	$(GO) test -run '^$$' -fuzz FuzzRequestResolve -fuzztime 30s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz FuzzRecordedBuild -fuzztime 30s ./internal/workload/
 	$(GO) test -run '^$$' -fuzz FuzzTraceReader -fuzztime 10s ./internal/trace/

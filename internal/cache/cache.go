@@ -57,30 +57,42 @@ type Result struct {
 }
 
 const (
-	stateInvalid uint8 = iota
+	stateInvalid uint64 = iota
 	stateClean
 	stateDirty
 )
 
-// line is one cache line's record. A set's ways are adjacent, so a lookup
-// reads one contiguous run, and each line knows its way so LRU updates find
-// the set base without a division.
-type line struct {
-	tag   uint64 // block-aligned address
-	state uint8
-	age   uint8 // LRU age within the set; 0 = most recent, ways = fresh
-	way   uint8
-}
+// Line word layout. Each line is one 64-bit word and a set's ways are
+// adjacent, so a lookup reads one contiguous run.
+//
+//	bits [0, 2)   state: invalid, clean or dirty
+//	bits [2, 10)  LRU age within the set: 0 = most recent, ways = fresh
+//	bits [10, 64) tag: the block address above the offset and set-index bits
+//
+// A block whose tag does not fit the 54 tag bits cannot be stored; an
+// install panics on it rather than alias it onto another block.
+const (
+	stateMask = 1<<2 - 1
+	ageShift  = 2
+	ageBits   = 8 // ages run 0..ways, and New caps ways at 255
+	ageOne    = 1 << ageShift
+	ageMask   = (1<<ageBits - 1) << ageShift
+	tagShift  = ageShift + ageBits
+	tagBits   = 64 - tagShift
+)
 
 // Cache is a set-associative cache. It tracks tags and dirty state only; no
 // data payloads are simulated.
 type Cache struct {
 	blockBits uint
 	setMask   uint64
+	// indexBits is the block offset plus set-index width: a block address
+	// shifted right by it is its tag.
+	indexBits uint
 	ways      int
 	writeBack bool
 
-	lines []line // set-major: index = set*ways + way
+	lines []uint64 // set-major: index = set*ways + way
 
 	// dirtyScratch backs InvalidateRange's result between calls, so the
 	// inclusion-maintenance path (run on every SLC victim) allocates
@@ -97,24 +109,25 @@ func New(cfg config.CacheConfig) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cache: set count %d not a power of two (config not validated?)", sets))
 	}
-	if cfg.Assoc > 255 {
-		// Ages are uint8 with "fresh" = ways; no machine config comes close.
+	if cfg.Assoc > 1<<ageBits-1 {
+		// Ages run 0..ways with "fresh" = ways; no machine config comes close.
 		panic(fmt.Sprintf("cache: associativity %d exceeds LRU age range", cfg.Assoc))
 	}
 	blockBits := uint(0)
 	for b := cfg.BlockBytes; b > 1; b >>= 1 {
 		blockBits++
 	}
-	lines := make([]line, sets*cfg.Assoc)
-	for i := range lines {
-		lines[i].way = uint8(i % cfg.Assoc)
+	setBits := uint(0)
+	for s := sets; s > 1; s >>= 1 {
+		setBits++
 	}
 	return &Cache{
 		blockBits: blockBits,
 		setMask:   uint64(sets - 1),
+		indexBits: blockBits + setBits,
 		ways:      cfg.Assoc,
 		writeBack: cfg.WriteBack,
-		lines:     lines,
+		lines:     make([]uint64, sets*cfg.Assoc),
 	}
 }
 
@@ -154,89 +167,95 @@ func (c *Cache) setBase(a uint64) int {
 	return int((a>>c.blockBits)&c.setMask) * c.ways
 }
 
-// find returns the line index of a's block, or -1.
-func (c *Cache) find(a uint64) int {
-	block := c.BlockAddr(a)
-	base := c.setBase(a)
-	for i, l := range c.lines[base : base+c.ways] {
-		if l.state != stateInvalid && l.tag == block {
-			return base + i
-		}
-	}
-	return -1
+// blockOf rebuilds the block address held by line i of the set that
+// address a maps to.
+func (c *Cache) blockOf(i int, a uint64) uint64 {
+	return c.lines[i]>>tagShift<<c.indexBits | a&(c.setMask<<c.blockBits)
 }
 
-// touch marks line i most recently used within its set.
-func (c *Cache) touch(i int) {
-	old := c.lines[i].age
+// find returns the base of a's set and the line index of a's block, or -1.
+// The tag is compared untruncated, so a block too wide to store never
+// matches a stored one.
+func (c *Cache) find(a uint64) (base, i int) {
+	base = c.setBase(a)
+	tag := a >> c.indexBits
+	for j, w := range c.lines[base : base+c.ways] {
+		if w&stateMask != stateInvalid && w>>tagShift == tag {
+			return base, base + j
+		}
+	}
+	return base, -1
+}
+
+// touch marks line i, in the set starting at base, most recently used.
+func (c *Cache) touch(base, i int) {
+	w := c.lines[i]
+	old := w & ageMask
 	if old == 0 {
 		// Already most recent — repeated hits to the same line (the
 		// common case on bursty reference streams) skip the aging loop.
 		return
 	}
-	base := i - int(c.lines[i].way)
 	set := c.lines[base : base+c.ways]
-	for j := range set {
-		if set[j].age < old {
-			set[j].age++
+	for j, v := range set {
+		if v&ageMask < old {
+			set[j] = v + ageOne
 		}
 	}
-	c.lines[i].age = 0
+	c.lines[i] = w &^ ageMask
 }
 
-// victimWay returns the line index to replace in a's set: an invalid way if
-// any, else the LRU way.
-func (c *Cache) victimWay(a uint64) int {
-	base := c.setBase(a)
-	lru, lruAge := base, uint8(0)
-	for i, l := range c.lines[base : base+c.ways] {
-		if l.state == stateInvalid {
-			return base + i
+// victimWay returns the line index to replace in the set starting at base:
+// an invalid way if any, else the LRU way.
+func (c *Cache) victimWay(base int) int {
+	lru, lruAge := base, uint64(0)
+	for j, w := range c.lines[base : base+c.ways] {
+		if w&stateMask == stateInvalid {
+			return base + j
 		}
-		if l.age >= lruAge {
-			lru, lruAge = base+i, l.age
+		if w&ageMask >= lruAge {
+			lru, lruAge = base+j, w&ageMask
 		}
 	}
 	return lru
 }
 
-// install places a's block into line i, returning victim information.
-func (c *Cache) install(a uint64, i int, dirty bool) Result {
+// install places a's block into line i of the set starting at base,
+// returning victim information. It panics if a's tag does not fit a line.
+func (c *Cache) install(a uint64, base, i int, state uint64) Result {
+	tag := a >> c.indexBits
+	if tag>>tagBits != 0 {
+		panic(fmt.Sprintf("cache: address %#x has a tag wider than the line's %d tag bits", a, tagBits))
+	}
 	r := Result{Allocated: true}
-	l := &c.lines[i]
-	if l.state != stateInvalid {
+	if w := c.lines[i]; w&stateMask != stateInvalid {
 		r.Evicted = true
-		r.Victim = l.tag
-		r.VictimDirty = l.state == stateDirty
+		r.Victim = c.blockOf(i, a)
+		r.VictimDirty = w&stateMask == stateDirty
 		if r.VictimDirty {
 			c.stats.Writebacks++
 		}
-	}
-	l.tag = c.BlockAddr(a)
-	if dirty {
-		l.state = stateDirty
-	} else {
-		l.state = stateClean
 	}
 	// A freshly installed line enters as the oldest possible so that
 	// touch ranks every resident line below it; otherwise an install into
 	// an invalid way (age 0) would fail to age its set-mates and LRU
 	// would degenerate into position order.
-	l.age = uint8(c.ways)
-	c.touch(i)
+	c.lines[i] = tag<<tagShift | uint64(c.ways)<<ageShift | state
+	c.touch(base, i)
 	return r
 }
 
 // Read performs a load at address a. On a miss the block is allocated
 // (possibly evicting a victim, reported in the Result).
 func (c *Cache) Read(a uint64) Result {
-	if i := c.find(a); i >= 0 {
+	base, i := c.find(a)
+	if i >= 0 {
 		c.stats.ReadHits++
-		c.touch(i)
+		c.touch(base, i)
 		return Result{Hit: true}
 	}
 	c.stats.ReadMisses++
-	return c.install(a, c.victimWay(a), false)
+	return c.install(a, base, c.victimWay(base), stateClean)
 }
 
 // Write performs a store at address a.
@@ -246,11 +265,12 @@ func (c *Cache) Read(a uint64) Result {
 // store always propagates to the next level (the caller's job) and no line
 // is ever dirty.
 func (c *Cache) Write(a uint64) Result {
-	if i := c.find(a); i >= 0 {
+	base, i := c.find(a)
+	if i >= 0 {
 		c.stats.WriteHits++
-		c.touch(i)
+		c.touch(base, i)
 		if c.writeBack {
-			c.lines[i].state = stateDirty
+			c.lines[i] = c.lines[i]&^stateMask | stateDirty
 		}
 		return Result{Hit: true}
 	}
@@ -258,29 +278,32 @@ func (c *Cache) Write(a uint64) Result {
 	if !c.writeBack {
 		return Result{} // no-allocate
 	}
-	return c.install(a, c.victimWay(a), true)
+	return c.install(a, base, c.victimWay(base), stateDirty)
 }
 
 // Contains reports whether a's block is present, without LRU side effects.
-func (c *Cache) Contains(a uint64) bool { return c.find(a) >= 0 }
+func (c *Cache) Contains(a uint64) bool {
+	_, i := c.find(a)
+	return i >= 0
+}
 
 // Dirty reports whether a's block is present and dirty.
 func (c *Cache) Dirty(a uint64) bool {
-	i := c.find(a)
-	return i >= 0 && c.lines[i].state == stateDirty
+	_, i := c.find(a)
+	return i >= 0 && c.lines[i]&stateMask == stateDirty
 }
 
 // Invalidate removes a's block if present, returning whether it was present
 // and whether it was dirty (a dirty invalidation victim must be written
 // back by the caller).
 func (c *Cache) Invalidate(a uint64) (present, dirty bool) {
-	i := c.find(a)
+	_, i := c.find(a)
 	if i < 0 {
 		return false, false
 	}
 	c.stats.Invalidates++
-	dirty = c.lines[i].state == stateDirty
-	c.lines[i].state = stateInvalid
+	dirty = c.lines[i]&stateMask == stateDirty
+	c.lines[i] &^= stateMask
 	return true, dirty
 }
 
@@ -304,13 +327,12 @@ func (c *Cache) InvalidateRange(a, bytes uint64) (dirtyBlocks []uint64) {
 // Flush invalidates every line, returning the dirty block addresses in
 // storage order (the writebacks a real flush would perform).
 func (c *Cache) Flush() (dirtyBlocks []uint64) {
-	for i := range c.lines {
-		l := &c.lines[i]
-		if l.state == stateDirty {
-			dirtyBlocks = append(dirtyBlocks, l.tag)
+	c.forEachValid(func(i int, block uint64) {
+		if c.lines[i]&stateMask == stateDirty {
+			dirtyBlocks = append(dirtyBlocks, block)
 		}
-		l.state = stateInvalid
-	}
+		c.lines[i] &^= stateMask
+	})
 	return dirtyBlocks
 }
 
@@ -318,21 +340,30 @@ func (c *Cache) Flush() (dirtyBlocks []uint64) {
 // order. Used by inclusion checks and tests.
 func (c *Cache) ValidBlocks() []uint64 {
 	var out []uint64
-	for _, l := range c.lines {
-		if l.state != stateInvalid {
-			out = append(out, l.tag)
-		}
-	}
+	c.forEachValid(func(_ int, block uint64) { out = append(out, block) })
 	return out
 }
 
 // OccupiedLines returns how many lines are valid, for tests and reports.
 func (c *Cache) OccupiedLines() int {
 	n := 0
-	for _, l := range c.lines {
-		if l.state != stateInvalid {
+	for _, w := range c.lines {
+		if w&stateMask != stateInvalid {
 			n++
 		}
 	}
 	return n
+}
+
+// forEachValid calls f with the index and block address of every valid
+// line, in storage order.
+func (c *Cache) forEachValid(f func(i int, block uint64)) {
+	for set := 0; set <= int(c.setMask); set++ {
+		a := uint64(set) << c.blockBits
+		for i := set * c.ways; i < (set+1)*c.ways; i++ {
+			if c.lines[i]&stateMask != stateInvalid {
+				f(i, c.blockOf(i, a))
+			}
+		}
+	}
 }

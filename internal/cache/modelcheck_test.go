@@ -1,8 +1,10 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"vcoma/internal/config"
 	"vcoma/internal/prng"
@@ -197,5 +199,248 @@ func TestLRUOrderThreeWay(t *testing.T) {
 	// The other sets were never touched.
 	if c.OccupiedLines() != 3 {
 		t.Fatalf("%d lines valid, want 3", c.OccupiedLines())
+	}
+}
+
+// ageRef is the simulator's replacement rule written out line by line,
+// unpacked: per line a block, valid and dirty flags and an LRU age, a set's
+// ways in order. A hit ages every line younger than it and becomes age 0;
+// an install fills the first invalid way, else the oldest (ties to the
+// later way), entering at age ways before aging as a hit; an invalidation
+// clears the line and leaves its age. Without invalidations this is exact
+// LRU, which refCache checks. After an invalidation in a set of three or
+// more ways a stale age can make two valid lines tie, and the tie then goes
+// to the later way rather than the older line; the simulator's results
+// depend on that rule, so the packed cache must keep it.
+type ageRef struct {
+	blockBytes uint64
+	sets, ways int
+	writeBack  bool
+	lines      []ageLine // set-major
+}
+
+type ageLine struct {
+	block        uint64
+	valid, dirty bool
+	age          int
+}
+
+func newAgeRef(cfg config.CacheConfig) *ageRef {
+	return &ageRef{
+		blockBytes: cfg.BlockBytes,
+		sets:       cfg.Sets(),
+		ways:       cfg.Assoc,
+		writeBack:  cfg.WriteBack,
+		lines:      make([]ageLine, cfg.Sets()*cfg.Assoc),
+	}
+}
+
+func (r *ageRef) set(a uint64) []ageLine {
+	s := int(a / r.blockBytes % uint64(r.sets))
+	return r.lines[s*r.ways : (s+1)*r.ways]
+}
+
+func (r *ageRef) find(a uint64) *ageLine {
+	set := r.set(a)
+	for i := range set {
+		if set[i].valid && set[i].block == a&^(r.blockBytes-1) {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (r *ageRef) touch(set []ageLine, l *ageLine) {
+	for i := range set {
+		if set[i].age < l.age {
+			set[i].age++
+		}
+	}
+	l.age = 0
+}
+
+// access returns (hit, evicted, victim, victimDirty).
+func (r *ageRef) access(a uint64, write bool) (bool, bool, uint64, bool) {
+	set := r.set(a)
+	if l := r.find(a); l != nil {
+		l.dirty = l.dirty || write && r.writeBack
+		r.touch(set, l)
+		return true, false, 0, false
+	}
+	if write && !r.writeBack {
+		return false, false, 0, false // no-allocate
+	}
+	var v *ageLine
+	for i := range set {
+		if !set[i].valid {
+			v = &set[i]
+			break
+		}
+		if v == nil || set[i].age >= v.age {
+			v = &set[i]
+		}
+	}
+	old := *v
+	*v = ageLine{block: a &^ (r.blockBytes - 1), valid: true, dirty: write, age: r.ways}
+	r.touch(set, v)
+	return false, old.valid, old.block, old.valid && old.dirty
+}
+
+// invalidate removes a's block, returning whether it was present and dirty.
+func (r *ageRef) invalidate(a uint64) (present, dirty bool) {
+	l := r.find(a)
+	if l == nil {
+		return false, false
+	}
+	l.valid = false
+	return true, l.dirty
+}
+
+// blocks returns the valid blocks, or only the dirty ones, in storage order.
+func (r *ageRef) blocks(dirtyOnly bool) []uint64 {
+	var out []uint64
+	for _, l := range r.lines {
+		if l.valid && (l.dirty || !dirtyOnly) {
+			out = append(out, l.block)
+		}
+	}
+	return out
+}
+
+// FuzzCacheModel checks the packed cache against ageRef over random
+// geometries (any associativity up to 8, so non-power-of-two ways; 16 to
+// 128 B blocks; one set up to 64) and random mixes of reads, writes,
+// invalidations, range invalidations and flushes. Addresses come from a
+// small pool that forces conflicts plus wide ones up to 2^61-1. An install
+// whose tag does not fit a line must panic and change nothing; every other
+// operation must agree with the model on every observable.
+func FuzzCacheModel(f *testing.F) {
+	f.Add(uint64(1), uint64(0), uint64(0), uint64(200))     // direct-mapped, one set, 16 B blocks
+	f.Add(uint64(2), uint64(2), uint64(0x21), uint64(300))  // 3-way
+	f.Add(uint64(94), uint64(26), uint64(87), uint64(300))  // 3-way, one set: ages tie after an invalidation
+	f.Add(uint64(4), uint64(6), uint64(0x100), uint64(500)) // 7-way, one set, write-back
+	f.Fuzz(func(t *testing.T, seed, waysRaw, geomRaw, nRaw uint64) {
+		ways := 1 + int(waysRaw%8)
+		blockBytes := uint64(16) << (geomRaw % 4)
+		sets := 1 << (geomRaw >> 2 % 7)
+		cfg := config.CacheConfig{
+			SizeBytes:  uint64(sets*ways) * blockBytes,
+			BlockBytes: blockBytes,
+			Assoc:      ways,
+			WriteBack:  geomRaw>>5&1 == 1,
+		}
+		c := New(cfg)
+		ref := newAgeRef(cfg)
+		fits := func(a uint64) bool { return a>>c.indexBits>>tagBits == 0 }
+		panics := func(op func()) (panicked bool) {
+			defer func() { panicked = recover() != nil }()
+			op()
+			return false
+		}
+
+		rng := prng.New(seed)
+		span := uint64(sets*ways) * blockBytes * 3
+		pool := make([]uint64, 24)
+		for i := range pool {
+			if i%4 == 3 {
+				pool[i] = rng.Uint64n(1 << 61) // wide: often too wide to store
+			} else {
+				pool[i] = rng.Uint64n(span)
+			}
+		}
+
+		ops := 16 + int(nRaw%1024)
+		for op := 0; op < ops; op++ {
+			a := pool[rng.Intn(len(pool))]
+			switch k := rng.Intn(10); {
+			case k < 6: // read or write
+				write := k >= 4
+				access := c.Read
+				if write {
+					access = c.Write
+				}
+				installs := ref.find(a) == nil && (!write || ref.writeBack)
+				if installs && !fits(a) {
+					if !panics(func() { access(a) }) {
+						t.Fatalf("op %d: %#x installed, but its tag does not fit", op, a)
+					}
+					continue
+				}
+				got := access(a)
+				hit, evicted, victim, vdirty := ref.access(a, write)
+				if got.Hit != hit || got.Allocated != installs || got.Evicted != evicted ||
+					evicted && (got.Victim != victim || got.VictimDirty != vdirty) {
+					t.Fatalf("op %d: access %#x write=%v: %+v, model hit=%v evicted=%v victim=%#x/%v",
+						op, a, write, got, hit, evicted, victim, vdirty)
+				}
+			case k < 8:
+				present, dirty := c.Invalidate(a)
+				refPresent, refDirty := ref.invalidate(a)
+				if present != refPresent || dirty != refDirty {
+					t.Fatalf("op %d: invalidate %#x: %v/%v, model %v/%v", op, a, present, dirty, refPresent, refDirty)
+				}
+			case k < 9:
+				bytes := blockBytes * uint64(1+rng.Intn(4))
+				var want []uint64
+				for b := a &^ (blockBytes - 1); b < a+bytes; b += blockBytes {
+					if present, dirty := ref.invalidate(b); present && dirty {
+						want = append(want, b)
+					}
+				}
+				if got := c.InvalidateRange(a, bytes); !slices.Equal(got, want) {
+					t.Fatalf("op %d: invalidate range %#x+%d: dirty %#x, model %#x", op, a, bytes, got, want)
+				}
+			default:
+				want := ref.blocks(true)
+				for i := range ref.lines {
+					ref.lines[i].valid = false
+				}
+				if got := c.Flush(); !slices.Equal(got, want) {
+					t.Fatalf("op %d: flush wrote back %#x, model %#x", op, got, want)
+				}
+			}
+			l := ref.find(a)
+			if c.Contains(a) != (l != nil) || c.Dirty(a) != (l != nil && l.dirty) {
+				t.Fatalf("op %d: %#x contains=%v dirty=%v disagree with the model", op, a, c.Contains(a), c.Dirty(a))
+			}
+		}
+		if got, want := c.ValidBlocks(), ref.blocks(false); !slices.Equal(got, want) || c.OccupiedLines() != len(want) {
+			t.Fatalf("resident blocks %#x (%d lines), model %#x", got, c.OccupiedLines(), want)
+		}
+	})
+}
+
+// TestLineIsOneWord pins a cache line at 8 bytes: the paper's §5.1 caches
+// are 1,536 lines per node, 384 KB per 32-node machine.
+func TestLineIsOneWord(t *testing.T) {
+	c := New(config.CacheConfig{SizeBytes: 384, BlockBytes: 32, Assoc: 3})
+	if size := unsafe.Sizeof(c.lines[0]); size != 8 {
+		t.Fatalf("a line is %d bytes, want 8", size)
+	}
+	if len(c.lines) != 12 {
+		t.Fatalf("%d lines, want 12", len(c.lines))
+	}
+}
+
+// TestOversizedTagPanics installs a block whose tag is one bit wider than a
+// line holds: the install must panic rather than store the truncated tag,
+// which here would alias block 0.
+func TestOversizedTagPanics(t *testing.T) {
+	c := New(config.CacheConfig{SizeBytes: 32, BlockBytes: 16, Assoc: 2, WriteBack: true})
+	c.Write(0)
+	wide := uint64(1) << (tagBits + 4) // 16 B blocks, one set: the tag is a>>4
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("install of %#x did not panic", wide)
+			}
+		}()
+		c.Read(wide)
+	}()
+	if c.Contains(wide) {
+		t.Fatalf("%#x aliases a stored block", wide)
+	}
+	if !c.Dirty(0) || c.OccupiedLines() != 1 {
+		t.Fatalf("failed install changed the cache: dirty(0)=%v, %d lines", c.Dirty(0), c.OccupiedLines())
 	}
 }

@@ -197,3 +197,22 @@ func BenchmarkMachinePreload(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMachineNew times building the baseline machine with its
+// attraction memory at test scale (512 KB per node, the size behind every
+// test-scale pass and served request) and at the paper's 4 MB: the AMs,
+// caches, directory and TLBs of all 32 nodes.
+func BenchmarkMachineNew(b *testing.B) {
+	for _, sc := range []workload.Scale{workload.ScaleTest, workload.ScalePaper} {
+		b.Run(sc.String(), func(b *testing.B) {
+			cfg := config.Baseline()
+			cfg.Geometry.AMSetBits = sc.AMSetBits()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

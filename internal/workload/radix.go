@@ -39,18 +39,24 @@ const (
 	histBytes = 4
 )
 
-// radixPlan holds the precomputed global sort: per pass, each processor's
-// digit counts and every key's permutation target. The generators replay
-// the exact algorithm from this plan.
+// radixPlan holds the precomputed global sort as the generators need it:
+// per pass, every key's digit and each processor's rank base per digit.
+// A generator replays the permutation from these alone: it copies its
+// bases into a cursor and sends a key of digit d to cursor[d], then bumps
+// cursor[d] — the stable parallel counting sort, key by key. The plan is
+// what a RADIX cell keeps alive for its whole run, so it holds 2 bytes per
+// key per pass (2 MB at the paper's 524,288 keys) and no keys or targets.
 type radixPlan struct {
-	passes  int
-	keys    [][]uint32 // keys[pass][i]: the key array at the start of pass
-	targets [][]int32  // targets[pass][i]: where key i moves in this pass
-	digits  int        // bits per digit
+	passes int
+	digits [][]uint16 // digits[pass][i]: key i's digit at the start of pass
+	bases  [][]int32  // bases[pass][q*radix+d]: rank of proc q's first digit-d key
 }
 
+// maxRadix is the largest radix whose digits fit a plan's uint16.
+const maxRadix = 1 << 16
+
 func buildRadixPlan(p RadixParams, procs int) (*radixPlan, error) {
-	if p.Keys <= 0 || p.Radix <= 1 || p.Radix&(p.Radix-1) != 0 {
+	if p.Keys <= 0 || p.Radix <= 1 || p.Radix&(p.Radix-1) != 0 || p.Radix > maxRadix {
 		return nil, fmt.Errorf("workload: bad RADIX parameters %+v", p)
 	}
 	digitBits := 0
@@ -66,61 +72,63 @@ func buildRadixPlan(p RadixParams, procs int) (*radixPlan, error) {
 		passes = 1
 	}
 
+	// cur holds the keys at the start of a pass and next the keys after
+	// it; the two buffers swap each pass.
 	rng := prng.New(p.Seed)
 	cur := make([]uint32, p.Keys)
 	for i := range cur {
 		cur[i] = rng.Uint32() % p.MaxKey
 	}
+	var next []uint32
+	var cursor []int32
+	if passes > 1 {
+		next = make([]uint32, p.Keys)
+		cursor = make([]int32, procs*p.Radix)
+	}
 
-	plan := &radixPlan{passes: passes, digits: digitBits}
+	plan := &radixPlan{passes: passes}
+	mask := uint32(p.Radix - 1)
 	for pass := 0; pass < passes; pass++ {
 		shift := uint(pass * digitBits)
-		mask := uint32(p.Radix - 1)
-
-		// Per-processor digit histograms over each proc's contiguous range.
-		hist := make([][]int, procs)
-		for q := range hist {
-			hist[q] = make([]int, p.Radix)
+		digits := make([]uint16, p.Keys)
+		for i, k := range cur {
+			digits[i] = uint16((k >> shift) & mask)
 		}
+		// Per-processor digit histograms over each proc's contiguous
+		// range, turned in place into global stable rank bases: keys
+		// order by (digit, owning proc, local index).
+		bases := make([]int32, procs*p.Radix)
 		for q := 0; q < procs; q++ {
 			lo, hi := chunk(p.Keys, procs, q)
-			for i := lo; i < hi; i++ {
-				hist[q][(cur[i]>>shift)&mask]++
+			row := bases[q*p.Radix : (q+1)*p.Radix]
+			for _, d := range digits[lo:hi] {
+				row[d]++
 			}
 		}
-		// Global stable rank base for (digit, proc): keys order by
-		// (digit, owning proc, local index) — the parallel counting sort.
-		base := make([][]int, procs)
-		for q := range base {
-			base[q] = make([]int, p.Radix)
-		}
-		total := 0
+		total := int32(0)
 		for d := 0; d < p.Radix; d++ {
 			for q := 0; q < procs; q++ {
-				base[q][d] = total
-				total += hist[q][d]
+				n := bases[q*p.Radix+d]
+				bases[q*p.Radix+d] = total
+				total += n
 			}
 		}
-
-		targets := make([]int32, p.Keys)
-		next := make([]uint32, p.Keys)
-		cursor := make([][]int, procs)
-		for q := range cursor {
-			cursor[q] = make([]int, p.Radix)
+		plan.digits = append(plan.digits, digits)
+		plan.bases = append(plan.bases, bases)
+		if pass == passes-1 {
+			break // the last permutation's output feeds no further pass
 		}
+		copy(cursor, bases)
 		for q := 0; q < procs; q++ {
 			lo, hi := chunk(p.Keys, procs, q)
+			row := cursor[q*p.Radix : (q+1)*p.Radix]
 			for i := lo; i < hi; i++ {
-				d := (cur[i] >> shift) & mask
-				t := base[q][d] + cursor[q][d]
-				cursor[q][d]++
-				targets[i] = int32(t)
-				next[t] = cur[i]
+				d := digits[i]
+				next[row[d]] = cur[i]
+				row[d]++
 			}
 		}
-		plan.keys = append(plan.keys, cur)
-		plan.targets = append(plan.targets, targets)
-		cur = next
+		cur, next = next, cur
 	}
 	return plan, nil
 }
@@ -159,10 +167,10 @@ func (r *Radix) Build(g addr.Geometry, procs int) (*Program, error) {
 
 	gen := func(proc int) func(*trace.Emitter) {
 		return func(e *trace.Emitter) {
-			mask := uint32(p.Radix - 1)
+			cursor := make([]int32, p.Radix)
 			e.Barrier(start)
 			for pass := 0; pass < plan.passes; pass++ {
-				shift := uint(pass * plan.digits)
+				digits := plan.digits[pass]
 				from, to := keyRegion(pass)
 				lo, hi := chunk(p.Keys, procs, proc)
 
@@ -170,7 +178,7 @@ func (r *Radix) Build(g addr.Geometry, procs int) (*Program, error) {
 				// counter in this proc's row of the shared rank array.
 				for i := lo; i < hi; i++ {
 					e.Read(from.At(uint64(i) * keyBytes))
-					d := (plan.keys[pass][i] >> shift) & mask
+					d := digits[i]
 					e.Write(hist.At(uint64(proc*p.Radix+int(d)) * histBytes))
 					e.Compute(2)
 				}
@@ -192,11 +200,13 @@ func (r *Radix) Build(g addr.Geometry, procs int) (*Program, error) {
 				// Phase 3: permutation. Re-read own keys and the digit
 				// base, then write each key to its global rank — scattered
 				// stores into an array spread over every node.
+				copy(cursor, plan.bases[pass][proc*p.Radix:])
 				for i := lo; i < hi; i++ {
 					e.Read(from.At(uint64(i) * keyBytes))
-					d := (plan.keys[pass][i] >> shift) & mask
+					d := digits[i]
 					e.Read(prefix.At(uint64(d) * histBytes))
-					t := plan.targets[pass][i]
+					t := cursor[d]
+					cursor[d]++
 					e.Write(to.At(uint64(t) * keyBytes))
 					e.Compute(4)
 				}
