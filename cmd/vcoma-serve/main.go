@@ -1,8 +1,8 @@
 // Command vcoma-serve runs the simulation harness as a long-lived HTTP/JSON
 // service: clients submit cells (bench + scheme + scale, the cache-key
 // schema) and the daemon answers from the shared artifact store or queues a
-// simulation, with admission control, per-tenant fairness, request
-// coalescing and crash-safe resume. See README "Running as a service".
+// simulation in one FIFO, with a bounded backlog, request coalescing and
+// crash-safe resume. See README "Running as a service".
 package main
 
 import (
@@ -25,8 +25,7 @@ func run() int {
 	addr := flag.String("addr", "127.0.0.1:8377", "listen address")
 	state := flag.String("state", "serve-state", "state directory (artifact store, journal, lock)")
 	workers := flag.Int("workers", 2, "concurrent simulations")
-	queueLen := flag.Int("queue", 64, "admission control: maximum queued jobs before shedding/429")
-	maxPerTenant := flag.Int("max-per-tenant", 0, "per-tenant queued-job bound (0 = none)")
+	queueLen := flag.Int("queue", 64, "admission control: maximum queued jobs; beyond it submits get 429")
 	maxStoreMB := flag.Int64("max-store-mb", 0, "artifact store size bound in MB, LRU-evicted (0 = unbounded)")
 	jobMetrics := flag.Bool("job-metrics", false, "write per-job observability sidecars next to artifacts")
 	chaosSpec := flag.String("chaos", "", "fault injection spec (testing only), e.g. hang:serve")
@@ -67,7 +66,6 @@ func run() int {
 		StateDir:      *state,
 		Workers:       *workers,
 		MaxQueue:      *queueLen,
-		MaxPerTenant:  *maxPerTenant,
 		MaxStoreBytes: *maxStoreMB << 20,
 		JobTimeout:    *jobTimeout,
 		Retry:         retry(),

@@ -17,7 +17,6 @@ import (
 //	prog       the emitting binary (vcoma-sim, vcoma-serve, …)
 //	trace_id   request correlation id (service-side lines)
 //	job_key    content-address of the job a line belongs to
-//	tenant     submitting tenant (service-side lines)
 //	outcome    final line only: ok, error, partial, interrupted, terminated
 //	exit_code  final line only: the process's exit status
 //	duration   final line only: wall time of the whole invocation

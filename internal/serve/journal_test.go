@@ -18,9 +18,9 @@ func TestJournalReplayPendingOnly(t *testing.T) {
 	if len(pending) != 0 {
 		t.Fatalf("fresh journal has %d pending", len(pending))
 	}
-	r1 := req("l0", "normal", "a", 1)
-	r2 := req("l1", "normal", "a", 2)
-	r3 := req("l2", "normal", "a", 3)
+	r1 := req("l0", 1)
+	r2 := req("l1", 2)
+	r3 := req("l2", 3)
 	k1, _ := keyOf(r1)
 	k3, _ := keyOf(r3)
 	for _, rec := range []struct {
@@ -40,13 +40,36 @@ func TestJournalReplayPendingOnly(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// An accept written by a server that still took "priority" and "tenant"
+	// in the request: the fields are ignored, and the key never held them.
+	legacy := req("l3", 4)
+	kl, _ := keyOf(legacy)
+	appendLine(t, filepath.Join(dir, journalName), `{"op":"accept","key":"`+string(kl)+
+		`","req":{"bench":"RADIX","scheme":"l3","scale":"test","seed":4,"priority":"high","tenant":"a"}}`+"\n")
 
-	_, pending, err = OpenJournal(dir, nil)
+	j2, pending, err := OpenJournal(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pending) != 1 || pending[0].Scheme != "l1" {
-		t.Fatalf("pending after replay: %+v, want just the l1 request", pending)
+	j2.Close()
+	if len(pending) != 2 || pending[0].Scheme != "l1" || pending[1].Scheme != "l3" {
+		t.Fatalf("pending after replay: %+v, want the l1 and the legacy l3 request", pending)
+	}
+	if k, ok := keyOf(pending[1]); !ok || k != kl {
+		t.Fatalf("legacy accept resolves to %.16s (ok=%v), want %.16s", k, ok, kl)
+	}
+
+	// Both resume in a server booted on the state dir.
+	s, err := New(Options{StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	if got := s.metrics.resumed.Load(); got != 2 {
+		t.Fatalf("resumed=%d, want 2", got)
+	}
+	if j, ok := s.queue.Get(kl); !ok || j.State() != StateQueued {
+		t.Fatalf("legacy accept not re-enqueued under its key (found=%v)", ok)
 	}
 }
 
@@ -57,7 +80,7 @@ func TestJournalCompactsOnOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 20; i++ {
-		r := req("l0", "normal", "a", i)
+		r := req("l0", i)
 		k, _ := keyOf(r)
 		if err := j.Accept(k, r); err != nil {
 			t.Fatal(err)
@@ -95,7 +118,7 @@ func TestJournalToleratesTornFinalLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := req("l0", "normal", "a", 1)
+	r := req("l0", 1)
 	k, _ := keyOf(r)
 	if err := j.Accept(k, r); err != nil {
 		t.Fatal(err)
@@ -103,15 +126,7 @@ func TestJournalToleratesTornFinalLine(t *testing.T) {
 	j.Close()
 
 	// Simulate a crash mid-append: a half-written record at the tail.
-	path := filepath.Join(dir, journalName)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"done","key":"deadbe`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	appendLine(t, filepath.Join(dir, journalName), `{"op":"done","key":"deadbe`)
 
 	j2, pending, err := OpenJournal(dir, nil)
 	if err != nil {
@@ -133,8 +148,8 @@ func TestJournalTornAcceptKeepsLaterAccepts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1 := req("l0", "normal", "a", 1)
-	r2 := req("l1", "normal", "a", 2)
+	r1 := req("l0", 1)
+	r2 := req("l1", 2)
 	k1, _ := keyOf(r1)
 	k2, _ := keyOf(r2)
 	fs.SetFailpoints(fsio.MustFailpoints("torn:journal:7"))
@@ -154,5 +169,19 @@ func TestJournalTornAcceptKeepsLaterAccepts(t *testing.T) {
 	defer j2.Close()
 	if len(pending) != 1 || pending[0].Scheme != "l1" {
 		t.Fatalf("pending after a torn accept = %+v, want just the l1 request", pending)
+	}
+}
+
+// appendLine appends raw bytes to a journal file, as another writer (a crash
+// mid-append, or an older server) would have left them.
+func appendLine(t *testing.T, path, line string) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteString(line); err != nil {
+		t.Fatal(err)
 	}
 }

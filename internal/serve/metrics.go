@@ -21,8 +21,6 @@ type serverMetrics struct {
 	storeHits    atomic.Uint64 // requests answered from the artifact store
 	simsExecuted atomic.Uint64 // simulations actually run (not cache hits)
 	rejected     atomic.Uint64 // 429s (queue full)
-	tenantLimit  atomic.Uint64 // 429s (per-tenant bound)
-	shed         atomic.Uint64 // queued jobs evicted for higher priority
 	canceled     atomic.Uint64 // jobs whose every waiter gave up
 	failed       atomic.Uint64 // simulations that errored
 	resumed      atomic.Uint64 // jobs re-enqueued from the journal at boot
@@ -40,9 +38,7 @@ var metricMeta = map[string]struct{ Help, Type string }{
 	"serve/coalesced":         {"Requests joined onto an already in-flight job.", "counter"},
 	"serve/store.hits":        {"Requests answered directly from the artifact store.", "counter"},
 	"serve/sims.executed":     {"Simulations actually executed (store misses).", "counter"},
-	"serve/rejected.overload": {"Submits rejected because the queue was full with no shed victim.", "counter"},
-	"serve/rejected.tenant":   {"Submits rejected by the per-tenant queued-job bound.", "counter"},
-	"serve/shed":              {"Queued jobs evicted to admit higher-priority work.", "counter"},
+	"serve/rejected.overload": {"Submits rejected because the queue was full.", "counter"},
 	"serve/canceled":          {"Jobs canceled because every waiter withdrew.", "counter"},
 	"serve/failed":            {"Jobs whose simulation errored.", "counter"},
 	"serve/resumed":           {"Jobs re-enqueued from the accept journal at boot.", "counter"},
@@ -75,8 +71,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	probe("serve/store.hits", &m.storeHits)
 	probe("serve/sims.executed", &m.simsExecuted)
 	probe("serve/rejected.overload", &m.rejected)
-	probe("serve/rejected.tenant", &m.tenantLimit)
-	probe("serve/shed", &m.shed)
 	probe("serve/canceled", &m.canceled)
 	probe("serve/failed", &m.failed)
 	probe("serve/resumed", &m.resumed)

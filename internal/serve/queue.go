@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,8 +28,6 @@ const (
 	StateFailed
 	// StateCanceled: every waiter canceled before it finished.
 	StateCanceled
-	// StateShed: evicted from the queue to admit higher-priority work.
-	StateShed
 )
 
 func (s State) String() string {
@@ -43,8 +42,6 @@ func (s State) String() string {
 		return "failed"
 	case StateCanceled:
 		return "canceled"
-	case StateShed:
-		return "shed"
 	default:
 		return fmt.Sprintf("state(%d)", int(s))
 	}
@@ -53,15 +50,9 @@ func (s State) String() string {
 // Terminal reports whether the state can no longer change.
 func (s State) Terminal() bool { return s >= StateDone }
 
-// ErrOverloaded is returned by Submit when the queue is full and no
-// lower-priority victim exists to shed. The API layer maps it to
-// 429 + Retry-After.
+// ErrOverloaded is returned by Submit when the backlog is full. The API
+// layer maps it to 429 + Retry-After.
 var ErrOverloaded = errors.New("serve: queue full")
-
-// ErrTenantLimit is returned when one tenant alone exceeds its queued-job
-// allowance; unlike ErrOverloaded it triggers no shedding, because the
-// pressure is self-inflicted.
-var ErrTenantLimit = errors.New("serve: tenant queue limit reached")
 
 // ErrClosed is returned by Next and Submit after Close — the drain path.
 var ErrClosed = errors.New("serve: queue closed")
@@ -77,10 +68,7 @@ type Job struct {
 	mu              sync.Mutex
 	state           State
 	err             string
-	waiters         map[string]string // cancellation token → tenant; empty → cancel
-	priority        Priority          // effective: most urgent among waiters
-	tenant          string            // fairness bucket (first submitter)
-	tenants         map[string]int    // waiter count per tenant, for introspection
+	waiters         map[string]struct{} // cancellation tokens; empty → cancel
 	progress        []string
 	change          chan struct{}      // closed and replaced on every visible change
 	cancel          context.CancelFunc // set while running
@@ -99,7 +87,7 @@ type Job struct {
 }
 
 // newWaiterID mints an unguessable per-waiter cancellation token. Job keys
-// are shared across tenants by design (that is what coalescing means), so
+// are shared across clients by design (that is what coalescing means), so
 // the key alone must not authorize cancellation; only the submitter who was
 // handed this token can withdraw their own waiter.
 func newWaiterID() string {
@@ -130,8 +118,6 @@ type Status struct {
 	Name      string     `json:"name"`
 	TraceID   string     `json:"trace_id,omitempty"`
 	State     string     `json:"state"`
-	Priority  string     `json:"priority"`
-	Tenants   int        `json:"tenants"`
 	Waiters   int        `json:"waiters"`
 	Error     string     `json:"error,omitempty"`
 	Progress  []string   `json:"progress,omitempty"`
@@ -149,8 +135,6 @@ func (j *Job) Snapshot() Status {
 		Name:     j.Spec.Name(),
 		TraceID:  string(j.trace.ID()),
 		State:    j.state.String(),
-		Priority: j.priority.String(),
-		Tenants:  len(j.tenants),
 		Waiters:  len(j.waiters),
 		Error:    j.err,
 		Progress: append([]string(nil), j.progress...),
@@ -223,101 +207,19 @@ func (j *Job) bindCancel(cancel context.CancelFunc) {
 	}
 }
 
-// bucket is one priority level: per-tenant FIFOs drained round-robin so a
-// tenant flooding the queue delays its own jobs, not its neighbours'.
-type bucket struct {
-	order []string // round-robin tenant rotation
-	fifos map[string][]*Job
-}
-
-func newBucket() *bucket { return &bucket{fifos: map[string][]*Job{}} }
-
-func (b *bucket) push(j *Job) {
-	if _, ok := b.fifos[j.tenant]; !ok {
-		b.order = append(b.order, j.tenant)
-	}
-	b.fifos[j.tenant] = append(b.fifos[j.tenant], j)
-}
-
-// pop dequeues the next job round-robin across tenants.
-func (b *bucket) pop() *Job {
-	for len(b.order) > 0 {
-		t := b.order[0]
-		fifo := b.fifos[t]
-		if len(fifo) == 0 {
-			b.order = b.order[1:]
-			delete(b.fifos, t)
-			continue
-		}
-		j := fifo[0]
-		b.fifos[t] = fifo[1:]
-		// Rotate the tenant to the back so the next pop serves someone else.
-		b.order = append(b.order[1:], t)
-		if len(b.fifos[t]) == 0 {
-			b.order = b.order[:len(b.order)-1]
-			delete(b.fifos, t)
-		}
-		return j
-	}
-	return nil
-}
-
-// remove unlinks a specific job (cancel or shed path).
-func (b *bucket) remove(j *Job) bool {
-	fifo := b.fifos[j.tenant]
-	for i, q := range fifo {
-		if q == j {
-			b.fifos[j.tenant] = append(fifo[:i:i], fifo[i+1:]...)
-			if len(b.fifos[j.tenant]) == 0 {
-				delete(b.fifos, j.tenant)
-				for k, t := range b.order {
-					if t == j.tenant {
-						b.order = append(b.order[:k], b.order[k+1:]...)
-						break
-					}
-				}
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// shedVictim picks the job shedding evicts: the most recently enqueued job
-// of the bucket's least-recently-served tenant — the waiter with the least
-// invested wait time.
-func (b *bucket) shedVictim() *Job {
-	if len(b.order) == 0 {
-		return nil
-	}
-	t := b.order[len(b.order)-1]
-	fifo := b.fifos[t]
-	if len(fifo) == 0 {
-		return nil
-	}
-	return fifo[len(fifo)-1]
-}
-
 // doneRetention bounds how many finished jobs the queue remembers for
 // status queries; results themselves live in the artifact store, so an
 // evicted record only loses the transient metadata (timings, progress log).
 const doneRetention = 512
 
-// Queue is the admission-controlled, multi-tenant job queue. All methods
-// are safe for concurrent use.
+// Queue is the admission-controlled job queue: one FIFO of coalesced jobs.
+// All methods are safe for concurrent use.
 type Queue struct {
-	maxQueue     int // queued-job bound; beyond it Submit sheds or rejects
-	maxPerTenant int // per-tenant queued bound; 0 = unlimited
-
-	// OnShed, when set before use, is called (with internal locks held —
-	// it must not call back into the queue) for every job evicted by load
-	// shedding, so the server can retire it in the journal.
-	OnShed func(*Job)
+	maxQueue int // queued-job bound; beyond it Submit rejects
 
 	mu        sync.Mutex
-	buckets   [numPriorities]*bucket
+	fifo      []*Job              // queued jobs in dispatch order
 	jobs      map[runner.Key]*Job // queued + running
-	queued    int
 	running   int
 	done      map[runner.Key]*Job
 	doneOrder []runner.Key
@@ -325,28 +227,20 @@ type Queue struct {
 	closedCh  chan struct{}
 	closed    bool
 
-	// Shed and coalesce tallies for /metrics.
-	shedCount     uint64
-	coalesceCount uint64
+	coalesceCount uint64 // for /metrics
 }
 
 // NewQueue builds a queue admitting at most maxQueue queued jobs
 // (running jobs are not counted — admission control protects the backlog,
-// not the workers) and, when maxPerTenant > 0, at most that many queued
-// jobs per tenant.
-func NewQueue(maxQueue, maxPerTenant int) *Queue {
-	q := &Queue{
-		maxQueue:     maxQueue,
-		maxPerTenant: maxPerTenant,
-		jobs:         map[runner.Key]*Job{},
-		done:         map[runner.Key]*Job{},
-		wake:         make(chan struct{}, 1),
-		closedCh:     make(chan struct{}),
+// not the workers).
+func NewQueue(maxQueue int) *Queue {
+	return &Queue{
+		maxQueue: maxQueue,
+		jobs:     map[runner.Key]*Job{},
+		done:     map[runner.Key]*Job{},
+		wake:     make(chan struct{}, 1),
+		closedCh: make(chan struct{}),
 	}
-	for i := range q.buckets {
-		q.buckets[i] = newBucket()
-	}
-	return q
 }
 
 // Outcome says what Submit did with a request.
@@ -364,9 +258,7 @@ const (
 )
 
 // Submit admits one request. Key-equal requests coalesce onto the in-flight
-// job (raising its priority if the newcomer is more urgent). When the
-// backlog is full, a strictly-less-urgent queued job is shed to make room;
-// with no victim available the request is rejected with ErrOverloaded.
+// job; otherwise a full backlog rejects the request with ErrOverloaded.
 // The returned waiter id is this submitter's cancellation token; it is
 // empty when the job already finished (nothing left to cancel).
 func (q *Queue) Submit(spec Spec) (*Job, string, Outcome, error) {
@@ -379,20 +271,13 @@ func (q *Queue) Submit(spec Spec) (*Job, string, Outcome, error) {
 
 	if j, ok := q.jobs[key]; ok {
 		q.coalesceCount++
-		waiter := q.joinLocked(j, spec)
-		return j, waiter, OutcomeCoalesced, nil
+		return j, j.join(spec.Trace.ID()), OutcomeCoalesced, nil
 	}
 	if j, ok := q.done[key]; ok && j.State() == StateDone {
 		return j, "", OutcomeDone, nil
 	}
-
-	if q.maxPerTenant > 0 && q.queuedForTenantLocked(spec.Tenant) >= q.maxPerTenant {
-		return nil, "", 0, fmt.Errorf("%w: tenant %q has %d jobs queued", ErrTenantLimit, spec.Tenant, q.maxPerTenant)
-	}
-	if q.queued >= q.maxQueue {
-		if !q.shedLocked(spec.Priority) {
-			return nil, "", 0, ErrOverloaded
-		}
+	if len(q.fifo) >= q.maxQueue {
+		return nil, "", 0, ErrOverloaded
 	}
 
 	waiter := newWaiterID()
@@ -400,10 +285,7 @@ func (q *Queue) Submit(spec Spec) (*Job, string, Outcome, error) {
 		Spec:     spec,
 		Key:      key,
 		state:    StateQueued,
-		waiters:  map[string]string{waiter: spec.Tenant},
-		priority: spec.Priority,
-		tenant:   spec.Tenant,
-		tenants:  map[string]int{spec.Tenant: 1},
+		waiters:  map[string]struct{}{waiter: {}},
 		change:   make(chan struct{}),
 		queuedAt: time.Now(),
 		trace:    spec.Trace,
@@ -411,80 +293,27 @@ func (q *Queue) Submit(spec Spec) (*Job, string, Outcome, error) {
 	}
 	j.queueSpan = spec.Root.StartChild("queue-wait")
 	q.jobs[key] = j
-	q.buckets[spec.Priority].push(j)
-	q.queued++
+	q.fifo = append(q.fifo, j)
 	q.signalLocked()
 	return j, waiter, OutcomeQueued, nil
 }
 
-// joinLocked adds one waiter to an in-flight job, promoting its queue
-// position if the newcomer is more urgent. Returns the newcomer's waiter id.
-// The newcomer's own trace (if any) is abandoned by the caller; instead the
+// join adds one waiter to an in-flight job and returns its token. The
+// newcomer's own trace (if any) is abandoned by the caller; instead the
 // attach is recorded as a coalesce-attach span on the job's trace, so the
 // one trace that exists for the key shows every rider.
-func (q *Queue) joinLocked(j *Job, spec Spec) string {
+func (j *Job) join(joined obs.TraceID) string {
 	waiter := newWaiterID()
 	j.mu.Lock()
-	j.waiters[waiter] = spec.Tenant
-	j.tenants[spec.Tenant]++
-	raise := spec.Priority < j.priority
-	queued := j.state == StateQueued
-	old := j.priority
-	if raise {
-		j.priority = spec.Priority
-	}
+	defer j.mu.Unlock()
+	j.waiters[waiter] = struct{}{}
 	if sp := j.root.StartChild("coalesce-attach"); sp != nil {
-		sp.SetAttr("tenant", spec.Tenant)
-		sp.SetAttr("priority", spec.Priority.String())
-		if id := spec.Trace.ID(); id != "" {
-			sp.SetAttr("joined_trace_id", string(id))
+		if joined != "" {
+			sp.SetAttr("joined_trace_id", string(joined))
 		}
 		sp.End()
 	}
-	j.mu.Unlock()
-	if raise && queued {
-		if q.buckets[old].remove(j) {
-			q.buckets[spec.Priority].push(j)
-		}
-	}
 	return waiter
-}
-
-func (q *Queue) queuedForTenantLocked(tenant string) int {
-	n := 0
-	for _, b := range q.buckets {
-		n += len(b.fifos[tenant])
-	}
-	return n
-}
-
-// shedLocked evicts one queued job strictly less urgent than incoming,
-// scanning from the least urgent bucket up. Returns false when nothing
-// qualifies — equal-priority work is never shed.
-func (q *Queue) shedLocked(incoming Priority) bool {
-	for p := numPriorities - 1; p > incoming; p-- {
-		v := q.buckets[p].shedVictim()
-		if v == nil {
-			continue
-		}
-		q.buckets[p].remove(v)
-		delete(q.jobs, v.Key)
-		q.queued--
-		q.shedCount++
-		q.retireLocked(v)
-		v.mu.Lock()
-		v.state = StateShed
-		v.err = "shed: evicted by higher-priority work under load"
-		v.doneAt = time.Now()
-		v.endTraceLocked("shed")
-		v.notifyLocked()
-		v.mu.Unlock()
-		if q.OnShed != nil {
-			q.OnShed(v)
-		}
-		return true
-	}
-	return false
 }
 
 // signalLocked nudges one idle worker.
@@ -505,23 +334,23 @@ func (q *Queue) Next(ctx context.Context) (*Job, error) {
 			q.mu.Unlock()
 			return nil, ErrClosed
 		}
-		for _, b := range q.buckets {
-			if j := b.pop(); j != nil {
-				q.queued--
-				q.running++
-				if q.queued > 0 {
-					q.signalLocked() // more work: wake the next idle worker
-				}
-				q.mu.Unlock()
-				j.mu.Lock()
-				j.state = StateRunning
-				j.startedAt = time.Now()
-				j.queueSpan.End()
-				j.queueSpan = nil
-				j.notifyLocked()
-				j.mu.Unlock()
-				return j, nil
+		if len(q.fifo) > 0 {
+			j := q.fifo[0]
+			q.fifo[0] = nil
+			q.fifo = q.fifo[1:]
+			q.running++
+			if len(q.fifo) > 0 {
+				q.signalLocked() // more work: wake the next idle worker
 			}
+			q.mu.Unlock()
+			j.mu.Lock()
+			j.state = StateRunning
+			j.startedAt = time.Now()
+			j.queueSpan.End()
+			j.queueSpan = nil
+			j.notifyLocked()
+			j.mu.Unlock()
+			return j, nil
 		}
 		q.mu.Unlock()
 		select {
@@ -561,9 +390,9 @@ func (q *Queue) Finish(j *Job, err error) {
 	j.mu.Unlock()
 }
 
-// Requeue puts a dequeued-but-unfinished job back at its priority — the
-// drain path for in-flight work interrupted by shutdown, so the journal and
-// a restarted server see it as pending rather than failed.
+// Requeue puts a dequeued-but-unfinished job back at the tail of the queue
+// — the drain path for in-flight work interrupted by shutdown, so the
+// journal and a restarted server see it as pending rather than failed.
 func (q *Queue) Requeue(j *Job) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -571,7 +400,6 @@ func (q *Queue) Requeue(j *Job) {
 		return
 	}
 	q.running--
-	q.queued++
 	j.mu.Lock()
 	j.state = StateQueued
 	j.startedAt = time.Time{}
@@ -579,9 +407,8 @@ func (q *Queue) Requeue(j *Job) {
 	// The job waits again, so the trace gets a fresh queue-wait span.
 	j.queueSpan = j.root.StartChild("queue-wait")
 	j.notifyLocked()
-	prio := j.priority
 	j.mu.Unlock()
-	q.buckets[prio].push(j)
+	q.fifo = append(q.fifo, j)
 	q.signalLocked()
 }
 
@@ -604,35 +431,33 @@ func (q *Queue) retireLocked(j *Job) {
 // Cancel removes the waiter identified by its submit-issued token from the
 // job. When the last waiter leaves, a queued job is withdrawn immediately
 // and a running one has its context canceled (the worker then Finishes it
-// as canceled). Returns found=false when the key is unknown, and
-// removed=false when the key exists but the token matches none of its
-// waiters — key-equal jobs coalesce across tenants, so the key alone must
-// not let one client drain waiters that other tenants registered.
-func (q *Queue) Cancel(key runner.Key, waiter string) (found, removed bool) {
+// as canceled). It returns the job (nil when the key is unknown), and
+// removed=false when the token matches none of its waiters — key-equal jobs
+// coalesce across clients, so the key alone must not let one client drain
+// waiters that others registered. withdrew is true only when this call
+// retired a still-queued job: nothing else will journal that cancellation.
+func (q *Queue) Cancel(key runner.Key, waiter string) (j *Job, removed, withdrew bool) {
 	q.mu.Lock()
 	j, ok := q.jobs[key]
 	if !ok {
-		_, ok = q.done[key]
+		// Already terminal (or unknown): cancel is a no-op.
+		j = q.done[key]
 		q.mu.Unlock()
-		return ok, ok // already terminal: cancel is a no-op, but the key exists
+		return j, j != nil, false
 	}
 
 	j.mu.Lock()
-	tenant, ok := j.waiters[waiter]
-	if !ok {
+	if _, ok := j.waiters[waiter]; !ok {
 		j.mu.Unlock()
 		q.mu.Unlock()
-		return true, false
+		return j, false, false
 	}
 	delete(j.waiters, waiter)
-	if j.tenants[tenant]--; j.tenants[tenant] <= 0 {
-		delete(j.tenants, tenant)
-	}
 	if len(j.waiters) > 0 {
 		j.notifyLocked()
 		j.mu.Unlock()
 		q.mu.Unlock()
-		return true, true
+		return j, true, false
 	}
 	// Last waiter gone.
 	if j.state == StateQueued {
@@ -641,14 +466,12 @@ func (q *Queue) Cancel(key runner.Key, waiter string) (found, removed bool) {
 		j.doneAt = time.Now()
 		j.endTraceLocked("canceled")
 		j.notifyLocked()
-		prio := j.priority
 		j.mu.Unlock()
-		q.buckets[prio].remove(j)
+		q.fifo = slices.DeleteFunc(q.fifo, func(x *Job) bool { return x == j })
 		delete(q.jobs, key)
-		q.queued--
 		q.retireLocked(j)
 		q.mu.Unlock()
-		return true, true
+		return j, true, true
 	}
 	// Running: ask the worker to stop; Finish records the terminal state.
 	j.cancelRequested = true
@@ -658,7 +481,7 @@ func (q *Queue) Cancel(key runner.Key, waiter string) (found, removed bool) {
 	if cancel != nil {
 		cancel()
 	}
-	return true, true
+	return j, true, false
 }
 
 // Get looks a job up by key among queued, running and retained-done jobs.
@@ -686,35 +509,14 @@ func (q *Queue) Close() {
 
 // Stats is the queue's introspection snapshot for /metrics and /v1/queue.
 type Stats struct {
-	Queued      int            `json:"queued"`
-	Running     int            `json:"running"`
-	PerPriority map[string]int `json:"per_priority"`
-	PerTenant   map[string]int `json:"per_tenant"`
-	Shed        uint64         `json:"shed"`
-	Coalesced   uint64         `json:"coalesced"`
+	Queued    int    `json:"queued"`
+	Running   int    `json:"running"`
+	Coalesced uint64 `json:"coalesced"`
 }
 
 // Snapshot reports current depth and tallies.
 func (q *Queue) Snapshot() Stats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	s := Stats{
-		Queued:      q.queued,
-		Running:     q.running,
-		PerPriority: map[string]int{},
-		PerTenant:   map[string]int{},
-		Shed:        q.shedCount,
-		Coalesced:   q.coalesceCount,
-	}
-	for p, b := range q.buckets {
-		n := 0
-		for t, fifo := range b.fifos {
-			n += len(fifo)
-			s.PerTenant[t] += len(fifo)
-		}
-		if n > 0 {
-			s.PerPriority[Priority(p).String()] = n
-		}
-	}
-	return s
+	return Stats{Queued: len(q.fifo), Running: q.running, Coalesced: q.coalesceCount}
 }

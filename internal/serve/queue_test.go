@@ -8,8 +8,8 @@ import (
 )
 
 // req builds a wire request for one cell; scheme and seed vary the key.
-func req(scheme, prio, tenant string, seed uint64) Request {
-	return Request{Bench: "RADIX", Scheme: scheme, Scale: "test", Priority: prio, Tenant: tenant, Seed: seed}
+func req(scheme string, seed uint64) Request {
+	return Request{Bench: "RADIX", Scheme: scheme, Scale: "test", Seed: seed}
 }
 
 func mustSpec(t *testing.T, r Request) Spec {
@@ -21,25 +21,21 @@ func mustSpec(t *testing.T, r Request) Spec {
 	return spec
 }
 
-func TestRequestKeyExcludesTenantAndPriority(t *testing.T) {
-	a := mustSpec(t, req("l0", "high", "alice", 0))
-	b := mustSpec(t, req("l0", "low", "bob", 0))
-	if a.Key() != b.Key() {
-		t.Fatalf("tenant/priority leaked into the key: %s vs %s", a.Key(), b.Key())
-	}
-	c := mustSpec(t, req("l1", "high", "alice", 0))
+func TestRequestKeyDistinguishesSchemes(t *testing.T) {
+	a := mustSpec(t, req("l0", 0))
+	c := mustSpec(t, req("l1", 0))
 	if a.Key() == c.Key() {
 		t.Fatalf("different schemes share a key")
 	}
 }
 
 func TestSubmitCoalescesEqualKeys(t *testing.T) {
-	q := NewQueue(8, 0)
-	j1, w1, out1, err := q.Submit(mustSpec(t, req("l0", "normal", "alice", 0)))
+	q := NewQueue(8)
+	j1, w1, out1, err := q.Submit(mustSpec(t, req("l0", 0)))
 	if err != nil || out1 != OutcomeQueued {
 		t.Fatalf("first submit: %v %v", out1, err)
 	}
-	j2, w2, out2, err := q.Submit(mustSpec(t, req("l0", "normal", "bob", 0)))
+	j2, w2, out2, err := q.Submit(mustSpec(t, req("l0", 0)))
 	if err != nil || out2 != OutcomeCoalesced {
 		t.Fatalf("second submit: %v %v", out2, err)
 	}
@@ -52,76 +48,40 @@ func TestSubmitCoalescesEqualKeys(t *testing.T) {
 	if st := q.Snapshot(); st.Queued != 1 || st.Coalesced != 1 {
 		t.Fatalf("snapshot after coalesce: %+v", st)
 	}
-	if s := j1.Snapshot(); s.Waiters != 2 || s.Tenants != 2 {
-		t.Fatalf("waiters=%d tenants=%d, want 2/2", s.Waiters, s.Tenants)
+	if s := j1.Snapshot(); s.Waiters != 2 {
+		t.Fatalf("waiters=%d, want 2", s.Waiters)
 	}
 }
 
 func TestQueueFullRejects(t *testing.T) {
-	q := NewQueue(2, 0)
+	q := NewQueue(2)
 	for i := uint64(1); i <= 2; i++ {
-		if _, _, _, err := q.Submit(mustSpec(t, req("l0", "normal", "a", i))); err != nil {
+		if _, _, _, err := q.Submit(mustSpec(t, req("l0", i))); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	// Same priority: nothing to shed, so the third request bounces.
-	_, _, _, err := q.Submit(mustSpec(t, req("l0", "normal", "a", 3)))
+	_, _, _, err := q.Submit(mustSpec(t, req("l0", 3)))
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("overflow submit: got %v, want ErrOverloaded", err)
 	}
 }
 
-func TestShedMakesRoomForHigherPriority(t *testing.T) {
-	q := NewQueue(2, 0)
-	var low []*Job
-	for i := uint64(1); i <= 2; i++ {
-		j, _, _, err := q.Submit(mustSpec(t, req("l0", "low", "a", i)))
-		if err != nil {
-			t.Fatalf("low submit %d: %v", i, err)
-		}
-		low = append(low, j)
-	}
-	hi, _, out, err := q.Submit(mustSpec(t, req("l0", "high", "b", 3)))
-	if err != nil || out != OutcomeQueued {
-		t.Fatalf("high submit: %v %v", out, err)
-	}
-	shed := 0
-	for _, j := range low {
-		if j.State() == StateShed {
-			shed++
-		}
-	}
-	if shed != 1 {
-		t.Fatalf("shed %d low jobs, want exactly 1", shed)
-	}
-	if st := q.Snapshot(); st.Queued != 2 || st.Shed != 1 {
-		t.Fatalf("snapshot after shed: %+v", st)
-	}
-	if hi.State() != StateQueued {
-		t.Fatalf("high job state %v, want queued", hi.State())
-	}
-	// The remaining low job is still a victim for the next high submit…
-	if _, _, _, err := q.Submit(mustSpec(t, req("l0", "high", "b", 4))); err != nil {
-		t.Fatalf("second high submit: %v", err)
-	}
-	// …but once only high-priority work is queued, equal priority must
-	// never shed: the next high submit bounces instead.
-	if _, _, _, err := q.Submit(mustSpec(t, req("l0", "high", "b", 5))); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("equal-priority overflow: got %v, want ErrOverloaded", err)
-	}
-}
-
 func TestCancelQueuedJob(t *testing.T) {
-	q := NewQueue(8, 0)
-	j, w, _, err := q.Submit(mustSpec(t, req("l0", "normal", "a", 0)))
+	q := NewQueue(8)
+	j, w, _, err := q.Submit(mustSpec(t, req("l0", 0)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if found, removed := q.Cancel(j.Key, w); !found || !removed {
-		t.Fatalf("cancel with own waiter id: found=%v removed=%v", found, removed)
+	if got, removed, withdrew := q.Cancel(j.Key, w); got != j || !removed || !withdrew {
+		t.Fatalf("cancel with own waiter id: job=%v removed=%v withdrew=%v", got != nil, removed, withdrew)
 	}
 	if j.State() != StateCanceled {
 		t.Fatalf("state %v, want canceled", j.State())
+	}
+	// A repeated cancel finds the terminal job but withdraws nothing, so
+	// the server journals the cancellation exactly once.
+	if got, removed, withdrew := q.Cancel(j.Key, w); got != j || !removed || withdrew {
+		t.Fatalf("repeated cancel: job=%v removed=%v withdrew=%v", got != nil, removed, withdrew)
 	}
 	if st := q.Snapshot(); st.Queued != 0 {
 		t.Fatalf("queue still holds %d after cancel", st.Queued)
@@ -139,39 +99,40 @@ func TestCancelQueuedJob(t *testing.T) {
 }
 
 func TestCancelOnlyLastWaiterWithdraws(t *testing.T) {
-	q := NewQueue(8, 0)
-	j, w1, _, _ := q.Submit(mustSpec(t, req("l0", "normal", "a", 0)))
-	_, w2, _, _ := q.Submit(mustSpec(t, req("l0", "normal", "b", 0))) // coalesce
-	if found, removed := q.Cancel(j.Key, w1); !found || !removed || j.State() != StateQueued {
+	q := NewQueue(8)
+	j, w1, _, _ := q.Submit(mustSpec(t, req("l0", 0)))
+	_, w2, _, _ := q.Submit(mustSpec(t, req("l0", 0))) // coalesce
+	if got, removed, withdrew := q.Cancel(j.Key, w1); got != j || !removed || withdrew || j.State() != StateQueued {
 		t.Fatalf("first cancel should only drop one waiter (state %v)", j.State())
 	}
 	// Replaying a spent token (or guessing one) must not drain other
-	// tenants' waiters: the key is shared, the token is not.
-	if found, removed := q.Cancel(j.Key, w1); !found || removed {
-		t.Fatalf("spent waiter id still cancels: found=%v removed=%v", found, removed)
+	// clients' waiters: the key is shared, the token is not.
+	if got, removed, _ := q.Cancel(j.Key, w1); got != j || removed {
+		t.Fatalf("spent waiter id still cancels: job=%v removed=%v", got != nil, removed)
 	}
-	if found, removed := q.Cancel(j.Key, "not-a-waiter"); !found || removed {
-		t.Fatalf("bogus waiter id cancels: found=%v removed=%v", found, removed)
+	if got, removed, _ := q.Cancel(j.Key, "not-a-waiter"); got != j || removed {
+		t.Fatalf("bogus waiter id cancels: job=%v removed=%v", got != nil, removed)
 	}
 	if j.State() != StateQueued {
 		t.Fatalf("unauthorized cancels changed state to %v", j.State())
 	}
-	if found, removed := q.Cancel(j.Key, w2); !found || !removed || j.State() != StateCanceled {
+	if got, removed, withdrew := q.Cancel(j.Key, w2); got != j || !removed || !withdrew || j.State() != StateCanceled {
 		t.Fatalf("second cancel should withdraw the job (state %v)", j.State())
 	}
 }
 
 func TestCancelRunningJobFiresContext(t *testing.T) {
-	q := NewQueue(8, 0)
-	j, w, _, _ := q.Submit(mustSpec(t, req("l0", "normal", "a", 0)))
+	q := NewQueue(8)
+	j, w, _, _ := q.Submit(mustSpec(t, req("l0", 0)))
 	got, err := q.Next(context.Background())
 	if err != nil || got != j {
 		t.Fatalf("Next: %v %v", got, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	j.bindCancel(cancel)
-	if found, removed := q.Cancel(j.Key, w); !found || !removed {
-		t.Fatalf("cancel with own waiter id: found=%v removed=%v", found, removed)
+	// A running job is not withdrawn here: its worker retires it.
+	if got, removed, withdrew := q.Cancel(j.Key, w); got != j || !removed || withdrew {
+		t.Fatalf("cancel with own waiter id: job=%v removed=%v withdrew=%v", got != nil, removed, withdrew)
 	}
 	select {
 	case <-ctx.Done():
@@ -184,75 +145,43 @@ func TestCancelRunningJobFiresContext(t *testing.T) {
 	}
 }
 
-func TestTenantRoundRobin(t *testing.T) {
-	q := NewQueue(16, 0)
-	// Tenant a floods three jobs before tenant b's one arrives.
-	for i := uint64(1); i <= 3; i++ {
-		q.Submit(mustSpec(t, req("l0", "normal", "a", i)))
+func TestFIFODispatchOrder(t *testing.T) {
+	q := NewQueue(16)
+	var want []*Job
+	var skip *Job
+	var skipWaiter string
+	for i := uint64(1); i <= 4; i++ {
+		j, w, _, err := q.Submit(mustSpec(t, req("l0", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 {
+			skip, skipWaiter = j, w
+			continue
+		}
+		want = append(want, j)
 	}
-	q.Submit(mustSpec(t, req("l0", "normal", "b", 10)))
-	var order []string
-	for i := 0; i < 4; i++ {
+	// A job withdrawn while queued leaves the line without disturbing it.
+	if _, removed, withdrew := q.Cancel(skip.Key, skipWaiter); !removed || !withdrew {
+		t.Fatalf("cancel of a queued job: removed=%v withdrew=%v", removed, withdrew)
+	}
+	for i, w := range want {
 		j, err := q.Next(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		order = append(order, j.Spec.Tenant)
-	}
-	// Round-robin: b is served second, not last.
-	want := []string{"a", "b", "a", "a"}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("dispatch order %v, want %v", order, want)
+		if j != w {
+			t.Fatalf("dispatch %d: got seed %d, want seed %d", i, j.Spec.Config.Seed, w.Spec.Config.Seed)
 		}
 	}
-}
-
-func TestPriorityDispatchOrder(t *testing.T) {
-	q := NewQueue(16, 0)
-	lo, _, _, _ := q.Submit(mustSpec(t, req("l0", "low", "a", 1)))
-	hi, _, _, _ := q.Submit(mustSpec(t, req("l0", "high", "a", 2)))
-	j, err := q.Next(context.Background())
-	if err != nil || j != hi {
-		t.Fatalf("first dispatch %v, want the high-priority job", j.Spec.Priority)
-	}
-	j, err = q.Next(context.Background())
-	if err != nil || j != lo {
-		t.Fatalf("second dispatch %v, want the low-priority job", j.Spec.Priority)
-	}
-}
-
-func TestCoalesceRaisesPriority(t *testing.T) {
-	q := NewQueue(16, 0)
-	j, _, _, _ := q.Submit(mustSpec(t, req("l0", "low", "a", 1)))
-	q.Submit(mustSpec(t, req("l0", "normal", "a", 2)))
-	// A high-priority waiter joins the low job: it must now dispatch first.
-	q.Submit(mustSpec(t, req("l0", "high", "b", 1)))
-	got, err := q.Next(context.Background())
-	if err != nil || got != j {
-		t.Fatalf("promoted job not dispatched first")
-	}
-}
-
-func TestTenantLimit(t *testing.T) {
-	q := NewQueue(16, 2)
-	for i := uint64(1); i <= 2; i++ {
-		if _, _, _, err := q.Submit(mustSpec(t, req("l0", "normal", "a", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, _, _, err := q.Submit(mustSpec(t, req("l0", "normal", "a", 3))); !errors.Is(err, ErrTenantLimit) {
-		t.Fatalf("got %v, want ErrTenantLimit", err)
-	}
-	// Another tenant is unaffected.
-	if _, _, _, err := q.Submit(mustSpec(t, req("l0", "normal", "b", 4))); err != nil {
-		t.Fatalf("tenant b rejected: %v", err)
+	if st := q.Snapshot(); st.Queued != 0 || st.Running != 3 {
+		t.Fatalf("snapshot after draining the FIFO: %+v", st)
 	}
 }
 
 func TestRequeueAfterDrain(t *testing.T) {
-	q := NewQueue(8, 0)
-	j, _, _, _ := q.Submit(mustSpec(t, req("l0", "normal", "a", 0)))
+	q := NewQueue(8)
+	j, _, _, _ := q.Submit(mustSpec(t, req("l0", 0)))
 	if _, err := q.Next(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,14 @@
 // Package serve turns the vcoma harness into a long-running simulation
-// service: an HTTP/JSON front end over a multi-tenant job queue layered on
-// internal/runner, with the content-addressed result cache promoted to a
+// service: an HTTP/JSON front end over one FIFO of coalesced jobs layered
+// on internal/runner, with the content-addressed result cache promoted to a
 // shared artifact store. Requests are keyed exactly like runner cache
-// entries, so two tenants asking for the same cell share one simulation and
+// entries, so two clients asking for the same cell share one simulation and
 // one stored artifact, and a server restart re-serves previous results
 // byte-identically.
 package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"vcoma/internal/config"
 	"vcoma/internal/experiments"
@@ -23,49 +22,10 @@ import (
 // invalidation path for request-semantics changes.
 const requestVersion = "vcoma-serve-v1"
 
-// Priority orders jobs in the queue and picks load-shedding victims.
-// Smaller is more urgent.
-type Priority int
-
-const (
-	PriorityHigh Priority = iota
-	PriorityNormal
-	PriorityLow
-	numPriorities
-)
-
-func (p Priority) String() string {
-	switch p {
-	case PriorityHigh:
-		return "high"
-	case PriorityNormal:
-		return "normal"
-	case PriorityLow:
-		return "low"
-	default:
-		return fmt.Sprintf("priority(%d)", int(p))
-	}
-}
-
-// ParsePriority maps the wire spelling to a Priority; empty means normal.
-func ParsePriority(s string) (Priority, error) {
-	switch strings.ToLower(s) {
-	case "", "normal":
-		return PriorityNormal, nil
-	case "high":
-		return PriorityHigh, nil
-	case "low":
-		return PriorityLow, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown priority %q (want high, normal or low)", s)
-	}
-}
-
 // Request is the submit-body schema: one simulation cell named the same way
-// the suite and the cache name them. Tenant and Priority route the job
-// through the queue but are deliberately excluded from the job key, so
-// key-equal requests from different tenants coalesce onto one simulation
-// and one shared artifact.
+// the suite and the cache name them. Unknown fields are ignored, so bodies
+// from older clients that still carry "priority" or "tenant" resolve to the
+// same job key as the bare cell.
 type Request struct {
 	// Bench is a paper benchmark name (RADIX, FFT, FMM, OCEAN, RAYTRACE,
 	// BARNES; case-insensitive).
@@ -80,26 +40,19 @@ type Request struct {
 	Org string `json:"org,omitempty"`
 	// Seed overrides the baseline seed when nonzero.
 	Seed uint64 `json:"seed,omitempty"`
-	// Priority is high, normal (default) or low.
-	Priority string `json:"priority,omitempty"`
-	// Tenant names the submitting client for fairness accounting; empty
-	// clients share the "anon" tenant.
-	Tenant string `json:"tenant,omitempty"`
 }
 
-// Spec is a validated, normalized request: the exact simulation inputs plus
-// the queueing attributes, ready to run.
+// Spec is a validated, normalized request: the exact simulation inputs,
+// ready to run.
 //
-// Trace and Root are per-submit observability state: like Tenant
-// and Priority they ride the queue but are deliberately excluded from Key,
-// so a traced and an untraced request for the same cell still coalesce onto
-// one simulation and one artifact.
+// Trace and Root are per-submit observability state: they ride the queue
+// but are deliberately excluded from Key, so a traced and an untraced
+// request for the same cell still coalesce onto one simulation and one
+// artifact.
 type Spec struct {
-	Config   config.Config
-	Bench    workload.Benchmark
-	Scale    workload.Scale
-	Priority Priority
-	Tenant   string
+	Config config.Config
+	Bench  workload.Benchmark
+	Scale  workload.Scale
 
 	// Trace is the submit's request trace (nil = untraced).
 	Trace *obs.Trace
@@ -125,15 +78,7 @@ func (r Request) Resolve() (Spec, error) {
 	if err != nil {
 		return Spec{}, fmt.Errorf("serve: %w", err)
 	}
-	prio, err := ParsePriority(r.Priority)
-	if err != nil {
-		return Spec{}, err
-	}
-	tenant := strings.TrimSpace(r.Tenant)
-	if tenant == "" {
-		tenant = "anon"
-	}
-	return Spec{Config: cfg, Bench: bench, Scale: scale, Priority: prio, Tenant: tenant}, nil
+	return Spec{Config: cfg, Bench: bench, Scale: scale}, nil
 }
 
 // Name renders the spec the way runner jobs are named, so progress lines,

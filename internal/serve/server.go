@@ -34,8 +34,6 @@ type Options struct {
 	Workers int
 	// MaxQueue bounds the backlog; <= 0 means 64.
 	MaxQueue int
-	// MaxPerTenant bounds one tenant's queued jobs; 0 = no bound.
-	MaxPerTenant int
 	// MaxStoreBytes bounds the artifact store; 0 = unbounded.
 	MaxStoreBytes int64
 	// JobTimeout bounds each simulation attempt; 0 = unbounded.
@@ -64,13 +62,13 @@ type Options struct {
 	// server into degraded mode; 0 means 1 (first failure degrades).
 	DegradeAfter int
 	// Log receives structured operational lines; nil silences them. Every
-	// job-scoped line carries trace_id, job_key and tenant.
+	// job-scoped line carries trace_id and job_key.
 	Log *slog.Logger
 }
 
-// Server is the vcoma simulation service: an HTTP/JSON API over the
-// multi-tenant Queue, executing jobs through runner.Run into the shared
-// artifact Store, journaling admissions so a restart resumes the backlog.
+// Server is the vcoma simulation service: an HTTP/JSON API over the job
+// Queue, executing jobs through runner.Run into the shared artifact Store,
+// journaling admissions so a restart resumes the backlog.
 type Server struct {
 	opts    Options
 	log     *slog.Logger
@@ -90,14 +88,10 @@ type Server struct {
 }
 
 // jobLog returns the logger for one job's lines: every record carries the
-// trace_id/job_key/tenant triple the README documents, so one grep by any
-// of the three reconstructs the job's history.
+// trace_id/job_key pair the README documents, so one grep by either
+// reconstructs the job's history.
 func (s *Server) jobLog(j *Job) *slog.Logger {
-	return s.log.With(
-		"trace_id", string(j.TraceID()),
-		"job_key", string(j.Key),
-		"tenant", j.Spec.Tenant,
-	)
+	return s.log.With("trace_id", string(j.TraceID()), "job_key", string(j.Key))
 }
 
 // New opens the state directory (store, journal, lock) and replays any
@@ -146,7 +140,7 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:     opts,
 		log:      log,
-		queue:    NewQueue(opts.MaxQueue, opts.MaxPerTenant),
+		queue:    NewQueue(opts.MaxQueue),
 		store:    store,
 		journal:  journal,
 		lock:     lock,
@@ -157,14 +151,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.traces = newTraceIndex(s.traceDir(), traceRetention)
 	s.metrics = newServerMetrics(s)
-	s.queue.OnShed = func(j *Job) {
-		s.metrics.shed.Add(1)
-		// Journal write deferred out of the queue's critical section is not
-		// worth the machinery here: shedding is rare and the fsync is small.
-		s.journalRetire(j.Key, "cancel")
-		s.writeTrace(j)
-		s.jobLog(j).Warn("job shed", "name", j.Spec.Name())
-	}
 
 	// Resume: jobs accepted by the previous incarnation re-enter the queue;
 	// ones whose artifact already exists are simply retired.
@@ -183,7 +169,6 @@ func New(opts Options) (*Server, error) {
 		spec.Trace = obs.NewTrace(obs.NewTraceID())
 		spec.Root = spec.Trace.StartSpan("request")
 		spec.Root.SetAttr("name", spec.Name())
-		spec.Root.SetAttr("tenant", spec.Tenant)
 		spec.Root.SetAttr("resumed", "true")
 		// The waiter token is discarded: the server itself is the resumed
 		// job's only waiter (HTTP clients did not survive the restart), so
@@ -479,7 +464,6 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 // Handler returns the service's HTTP API:
 //
 //	POST   /v1/jobs            submit one simulation (Request JSON)
-//	POST   /v1/sweeps          submit one request per scheme
 //	GET    /v1/jobs/{key}      job status
 //	GET    /v1/jobs/{key}/result  stored artifact bytes (byte-identical)
 //	GET    /v1/jobs/{key}/events  SSE: status changes + progress lines
@@ -494,7 +478,6 @@ func (s *Server) Run(ctx context.Context, addr string) error {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("POST /v1/sweeps", s.handleSweep)
 	mux.HandleFunc("GET /v1/jobs/{key}", s.handleStatus)
 	mux.HandleFunc("GET /v1/jobs/{key}/result", s.handleResult)
 	mux.HandleFunc("GET /v1/jobs/{key}/events", s.handleEvents)
@@ -528,7 +511,7 @@ func (s *Server) Handler() http.Handler {
 
 // submitResponse is the body of a submit's 200/202. Waiter is this
 // submitter's private cancellation token: job keys are shared across
-// tenants (coalescing), so DELETE requires the token, not just the key.
+// clients (coalescing), so DELETE requires the token, not just the key.
 // TraceID is the id every log line, span and Perfetto slice for this
 // request carries; it is echoed in the X-Vcoma-Trace response header.
 type submitResponse struct {
@@ -585,18 +568,16 @@ var errJournal = errors.New("serve: journal write failed")
 var errStorePut = errors.New("serve: artifact put did not land")
 
 // admit runs one resolved spec through the store fast path and the queue,
-// journaling fresh admissions. Shared by submit and sweep. Every admission
-// mints a trace; when the request coalesces onto an in-flight job, the
-// minted trace is abandoned (ended as coalesced) and the response carries
-// the job's original trace id — one key, one trace, every rider visible as
-// a coalesce-attach span on it.
+// journaling fresh admissions. Every admission mints a trace; when the
+// request coalesces onto an in-flight job, the minted trace is abandoned
+// (ended as coalesced) and the response carries the job's original trace
+// id — one key, one trace, every rider visible as a coalesce-attach span
+// on it.
 func (s *Server) admit(req Request, spec Spec) (submitResponse, int, error) {
 	key := spec.Key()
 	spec.Trace = obs.NewTrace(obs.NewTraceID())
 	spec.Root = spec.Trace.StartSpan("request")
 	spec.Root.SetAttr("name", spec.Name())
-	spec.Root.SetAttr("tenant", spec.Tenant)
-	spec.Root.SetAttr("priority", spec.Priority.String())
 	resp := submitResponse{
 		Key:     string(key),
 		Name:    spec.Name(),
@@ -605,7 +586,7 @@ func (s *Server) admit(req Request, spec Spec) (submitResponse, int, error) {
 		Events:  "/v1/jobs/" + string(key) + "/events",
 		Trace:   "/v1/jobs/" + string(key) + "/trace",
 	}
-	al := s.log.With("trace_id", resp.TraceID, "job_key", string(key), "tenant", spec.Tenant)
+	al := s.log.With("trace_id", resp.TraceID, "job_key", string(key))
 
 	admitSp := spec.Root.StartChild("admit")
 	// Fast path: the artifact already exists — answer without queueing.
@@ -685,7 +666,7 @@ func (s *Server) admit(req Request, spec Spec) (submitResponse, int, error) {
 		admitSp.SetAttr("outcome", "queued")
 		admitSp.End()
 		resp.State = StateQueued.String()
-		al.Info("submit", "name", spec.Name(), "outcome", "queued", "priority", spec.Priority.String())
+		al.Info("submit", "name", spec.Name(), "outcome", "queued")
 		return resp, http.StatusAccepted, nil
 	}
 }
@@ -694,10 +675,6 @@ func (s *Server) rejectStatus(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		s.metrics.rejected.Add(1)
-		w.Header().Set("Retry-After", s.retryAfter())
-		writeError(w, http.StatusTooManyRequests, err)
-	case errors.Is(err, ErrTenantLimit):
-		s.metrics.tenantLimit.Add(1)
 		w.Header().Set("Retry-After", s.retryAfter())
 		writeError(w, http.StatusTooManyRequests, err)
 	case errors.Is(err, ErrClosed), errors.Is(err, errJournal):
@@ -729,46 +706,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Vcoma-Trace", resp.TraceID)
 	writeJSON(w, status, resp)
-}
-
-// sweepRequest expands one request template over all five schemes.
-type sweepRequest struct {
-	Request
-	// Schemes optionally restricts the sweep; empty = all five.
-	Schemes []string `json:"schemes,omitempty"`
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if s.draining429(w) {
-		return
-	}
-	var req sweepRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: decoding request: %w", err))
-		return
-	}
-	schemes := req.Schemes
-	if len(schemes) == 0 {
-		schemes = []string{"l0", "l1", "l2", "l3", "vcoma"}
-	}
-	var out []submitResponse
-	for _, scheme := range schemes {
-		one := req.Request
-		one.Scheme = scheme
-		spec, err := one.Resolve()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		resp, _, err := s.admit(one, spec)
-		if err != nil {
-			// Partial sweep: report what was admitted plus the refusal.
-			s.rejectStatus(w, fmt.Errorf("%w (admitted %d of %d)", err, len(out), len(schemes)))
-			return
-		}
-		out = append(out, resp)
-	}
-	writeJSON(w, http.StatusAccepted, map[string]any{"jobs": out})
 }
 
 // validKey reports whether a {key} path segment is a well-formed job key:
@@ -844,7 +781,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	switch j.State() {
-	case StateFailed, StateCanceled, StateShed:
+	case StateFailed, StateCanceled:
 		writeJSON(w, http.StatusInternalServerError, j.Snapshot())
 	default:
 		w.Header().Set("Retry-After", s.retryAfter())
@@ -858,27 +795,25 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %.16s…", raw))
 		return
 	}
-	key := runner.Key(raw)
-	found, removed := s.queue.Cancel(key, r.URL.Query().Get("waiter"))
-	if !found {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %.16s…", key))
+	j, removed, withdrew := s.queue.Cancel(runner.Key(raw), r.URL.Query().Get("waiter"))
+	if j == nil {
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %.16s…", raw))
 		return
 	}
 	if !removed {
 		writeError(w, http.StatusForbidden, errors.New("serve: cancel requires the waiter_id issued by your submit (?waiter=…)"))
 		return
 	}
-	if j, ok := s.queue.Get(key); ok {
-		// A queued job whose last waiter just left went terminal without a
-		// worker ever seeing it; persist its trace here.
-		if j.State() == StateCanceled {
-			s.writeTrace(j)
-			s.jobLog(j).Info("job canceled while queued", "name", j.Spec.Name())
-		}
-		writeJSON(w, http.StatusOK, j.Snapshot())
-		return
+	if withdrew {
+		// The job went terminal while queued, so no worker will retire it:
+		// journal the cancel (or a restart would resume it) and persist its
+		// trace here.
+		s.metrics.canceled.Add(1)
+		s.journalRetire(j.Key, "cancel")
+		s.writeTrace(j)
+		s.jobLog(j).Info("job canceled while queued", "name", j.Spec.Name())
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"key": string(key), "state": "canceled"})
+	writeJSON(w, http.StatusOK, j.Snapshot())
 }
 
 func (s *Server) handleQueue(w http.ResponseWriter, r *http.Request) {

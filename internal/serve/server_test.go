@@ -161,7 +161,7 @@ func gateChaos(t *testing.T) *runner.Chaos {
 	return chaos
 }
 
-var gateReq = Request{Bench: "RADIX", Scheme: "l3", Scale: "test", Tenant: "gate"}
+var gateReq = Request{Bench: "RADIX", Scheme: "l3", Scale: "test"}
 
 // TestServiceCoalescingRunsOneSimulation is the ISSUE's first acceptance
 // criterion: two concurrent key-equal clients trigger exactly one
@@ -174,12 +174,10 @@ func TestServiceCoalescingRunsOneSimulation(t *testing.T) {
 	gateKey := gate.Key
 	waitFor(t, "gate running", func() bool { return jobState(t, ts.URL, gateKey) == "running" })
 
-	// Two clients, different tenants, same cell.
-	target := func(tenant string) Request {
-		return Request{Bench: "RADIX", Scheme: "l0", Scale: "test", Tenant: tenant}
-	}
-	k1 := submitKey(t, ts.URL, target("alice"), http.StatusAccepted)
-	k2 := submitKey(t, ts.URL, target("bob"), http.StatusAccepted)
+	// Two clients, same cell.
+	target := Request{Bench: "RADIX", Scheme: "l0", Scale: "test"}
+	k1 := submitKey(t, ts.URL, target, http.StatusAccepted)
+	k2 := submitKey(t, ts.URL, target, http.StatusAccepted)
 	if k1 != k2 {
 		t.Fatalf("key-equal requests got distinct keys %s %s", k1, k2)
 	}
@@ -188,7 +186,7 @@ func TestServiceCoalescingRunsOneSimulation(t *testing.T) {
 	}
 
 	// A DELETE without the waiter token must not touch the job (the key is
-	// shared across tenants; the token is the cancel capability).
+	// shared across clients; the token is the cancel capability).
 	if code, _ := del(t, ts.URL+"/v1/jobs/"+gateKey); code != http.StatusForbidden {
 		t.Fatalf("tokenless cancel: %d, want 403", code)
 	}
@@ -211,7 +209,7 @@ func TestServiceCoalescingRunsOneSimulation(t *testing.T) {
 	}
 
 	// A third key-equal request is now a store hit: 200, same bytes.
-	code, body, _ := post(t, ts.URL+"/v1/jobs", target("carol"))
+	code, body, _ := post(t, ts.URL+"/v1/jobs", target)
 	if code != http.StatusOK {
 		t.Fatalf("post-completion submit: %d", code)
 	}
@@ -243,8 +241,7 @@ func TestServiceFloodRejectedWithoutStarvation(t *testing.T) {
 		submitKey(t, ts.URL, Request{Bench: "RADIX", Scheme: "l0", Scale: "test"}, http.StatusAccepted),
 		submitKey(t, ts.URL, Request{Bench: "RADIX", Scheme: "l1", Scale: "test"}, http.StatusAccepted),
 	}
-	// Flood: same priority, distinct keys — all must bounce with 429 +
-	// Retry-After, shedding nothing.
+	// Flood: distinct keys — all must bounce with 429 + Retry-After.
 	for i := uint64(1); i <= 5; i++ {
 		code, body, hdr := post(t, ts.URL+"/v1/jobs", Request{Bench: "RADIX", Scheme: "l2", Scale: "test", Seed: i})
 		if code != http.StatusTooManyRequests {
@@ -256,9 +253,6 @@ func TestServiceFloodRejectedWithoutStarvation(t *testing.T) {
 	}
 	if got := metricValue(t, ts.URL, "serve/rejected.overload"); got != 5 {
 		t.Fatalf("rejected=%v, want 5", got)
-	}
-	if got := metricValue(t, ts.URL, "serve/shed"); got != 0 {
-		t.Fatalf("equal-priority flood shed %v jobs", got)
 	}
 
 	// The admitted jobs are not starved: release the gate and they finish.
@@ -315,8 +309,12 @@ func TestServiceDrainRestartByteIdentical(t *testing.T) {
 	}
 }
 
+// TestServiceCancelQueuedJob withdraws a job before any worker sees it. The
+// withdrawal must be journaled: a restart on the same state dir must not
+// resume the job.
 func TestServiceCancelQueuedJob(t *testing.T) {
-	_, ts, _ := testServer(t, t.TempDir(), func(o *Options) { o.Chaos = gateChaos(t) })
+	stateDir := t.TempDir()
+	_, ts, stop := testServer(t, stateDir, func(o *Options) { o.Chaos = gateChaos(t) })
 	gate := submitJob(t, ts.URL, gateReq, http.StatusAccepted)
 	gateKey := gate.Key
 	waitFor(t, "gate running", func() bool { return jobState(t, ts.URL, gateKey) == "running" })
@@ -335,11 +333,30 @@ func TestServiceCancelQueuedJob(t *testing.T) {
 	if code, _ := get(t, ts.URL+"/v1/jobs/"+key+"/result"); code != http.StatusInternalServerError {
 		t.Fatalf("result of canceled job: %d, want 500", code)
 	}
+	// A repeated DELETE finds the job terminal and counts nothing twice.
+	if code, body := del(t, cancelURL(ts.URL, job)); code != http.StatusOK {
+		t.Fatalf("repeated cancel: %d %s", code, body)
+	}
+	if got := metricValue(t, ts.URL, "serve/canceled"); got != 1 {
+		t.Fatalf("canceled=%v after withdrawing a queued job, want 1", got)
+	}
 	// The canceled job must never run.
 	del(t, cancelURL(ts.URL, gate))
+	waitFor(t, "gate canceled", func() bool { return jobState(t, ts.URL, gateKey) == "canceled" })
 	time.Sleep(50 * time.Millisecond)
 	if got := metricValue(t, ts.URL, "serve/sims.executed"); got != 0 {
 		t.Fatalf("canceled job was simulated (%v)", got)
+	}
+
+	// Nor may a restart bring it back.
+	stop()
+	_, ts2, _ := testServer(t, stateDir, nil)
+	if got := metricValue(t, ts2.URL, "serve/resumed"); got != 0 {
+		t.Fatalf("restart resumed %v jobs, want 0", got)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if got := metricValue(t, ts2.URL, "serve/sims.executed"); got != 0 {
+		t.Fatalf("restart simulated %v jobs, want 0", got)
 	}
 }
 
@@ -398,28 +415,5 @@ func TestServiceValidationAndIntrospection(t *testing.T) {
 	j.Close()
 	if len(pending) != 0 {
 		t.Fatalf("rejected requests were journaled: %+v", pending)
-	}
-}
-
-func TestServiceSweepExpandsSchemes(t *testing.T) {
-	_, ts, _ := testServer(t, t.TempDir(), nil)
-	code, body, _ := post(t, ts.URL+"/v1/sweeps", map[string]any{
-		"bench": "RADIX", "scale": "test", "schemes": []string{"l0", "vcoma"},
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("sweep: %d %s", code, body)
-	}
-	var resp struct {
-		Jobs []submitResponse `json:"jobs"`
-	}
-	if err := json.Unmarshal(body, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Jobs) != 2 {
-		t.Fatalf("sweep expanded to %d jobs, want 2", len(resp.Jobs))
-	}
-	for _, j := range resp.Jobs {
-		j := j
-		waitFor(t, "sweep job done", func() bool { return jobState(t, ts.URL, j.Key) == "done" })
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // Store promotes the runner's content-addressed cache to the service's
 // shared artifact store: every finished simulation is one checksummed,
-// quarantine-guarded cache entry, deduplicated across tenants by
+// quarantine-guarded cache entry, deduplicated across clients by
 // construction (the key hashes the inputs, not the requester), with a
 // size-bounded LRU layered on top so a long-lived server doesn't grow its
 // disk footprint without bound.

@@ -57,7 +57,7 @@ func TestServiceTraceEndToEnd(t *testing.T) {
 		o.Log = cli.NewLogger(logBuf, "vcoma-serve", "json", slog.LevelDebug)
 	})
 
-	code, body, hdr := post(t, ts.URL+"/v1/jobs", Request{Bench: "RADIX", Scheme: "l0", Scale: "test", Tenant: "tracer"})
+	code, body, hdr := post(t, ts.URL+"/v1/jobs", Request{Bench: "RADIX", Scheme: "l0", Scale: "test"})
 	if code != http.StatusAccepted {
 		t.Fatalf("submit: %d: %s", code, body)
 	}

@@ -4,8 +4,9 @@
 # in the 202 header/body, the span tree, the persisted Perfetto file and
 # the structured log; /metrics is well-formed Prometheus text exposition;
 # a SIGTERM mid-job drains with exit 143 and leaves the job pending in the
-# journal, a restarted server resumes it and serves a result byte-identical
-# to an uninterrupted run, repeat submits coalesce onto the stored artifact
+# journal, a job withdrawn while queued is journaled as canceled, a
+# restarted server resumes only the pending job and serves a result
+# byte-identical to an uninterrupted run, repeat submits coalesce onto the stored artifact
 # instead of re-simulating, and an over-budget flood is rejected with
 # 429 + Retry-After.
 #
@@ -110,17 +111,28 @@ wait_http "$BASE/healthz"
 K2=$(curl -fsS -X POST -d "$BODY" "$BASE/v1/jobs" | field key)
 [ "$K2" = "$KEY" ] || { echo "FAIL: same request keyed differently ($K2 vs $KEY)" >&2; exit 1; }
 wait_state "$K2" running
+# Withdraw a job queued behind the held one: no worker ever sees it, so
+# the cancel itself must be journaled or a restart would resume it.
+curl -fsS -X POST -d '{"bench":"RADIX","scheme":"l0","scale":"test"}' "$BASE/v1/jobs" > queued.json
+KQ=$(field key < queued.json)
+WQ=$(field waiter_id < queued.json)
+curl -fsS -X DELETE "$BASE/v1/jobs/$KQ?waiter=$WQ" > /dev/null
+wait_state "$KQ" canceled
 kill -TERM $PID
 rc=0; wait $PID || rc=$?
 [ "$rc" = 143 ] || { echo "FAIL: mid-job drain exited $rc, want 143" >&2; exit 1; }
 grep -q '"op":"accept"' state-chaos/serve-journal.json \
     || { echo "FAIL: journal lost the in-flight job" >&2; exit 1; }
+grep -q "\"op\":\"cancel\",\"key\":\"$KQ\"" state-chaos/serve-journal.json \
+    || { echo "FAIL: journal lacks the cancel of queued job $KQ" >&2; exit 1; }
 
 echo "== restart resumes the job and serves byte-identical bytes"
 bin/vcoma-serve -addr "$ADDR" -state state-chaos -workers 1 > resume-server.log 2>&1 &
 PID=$!
 wait_http "$BASE/healthz"
 wait_state "$K2" done
+resumed=$(curl -fsS "$BASE/metrics" | sed -n 's|^vcoma_serve_resumed ||p')
+[ "$resumed" = 1 ] || { echo "FAIL: restart resumed $resumed jobs, want 1" >&2; exit 1; }
 curl -fsS "$BASE/v1/jobs/$K2/result" > res.json
 kill -TERM $PID
 rc=0; wait $PID || rc=$?
