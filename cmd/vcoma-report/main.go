@@ -17,7 +17,7 @@
 //	vcoma-report -only table2,table3 -scale test
 //	vcoma-report -only ablation,dlborg -bench OCEAN -scale test
 //	vcoma-report -scale small -jobs 8 -progress-json progress.json
-//	vcoma-report -scale paper -job-timeout 15m -retries 2 -keep-going
+//	vcoma-report -scale paper -job-timeout 15m -keep-going
 //	vcoma-report -scale paper -resume
 //	vcoma-report -clear-cache
 package main
@@ -61,10 +61,9 @@ func run() (int, error) {
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		keepGoing  = flag.Bool("keep-going", false, "render a partial report with failed cells marked when some passes fail (exit status 2)")
 		resume     = flag.Bool("resume", false, "resume an interrupted run from the journal in the cache directory")
-		chaosSpec  = flag.String("chaos", "", "fault-injection spec for testing the supervisor: panic:<substr>,hang:<substr>,flaky:<substr>:<n>,cancel:<n>,corrupt:<substr>")
+		chaosSpec  = flag.String("chaos", "", "fault-injection spec for testing the supervisor: panic:<substr>,hang:<substr>,cancel:<n>,corrupt:<substr>")
 	)
 	budgetOf, jobTimeout := cli.BudgetFlags()
-	retryOf := cli.RetryFlags()
 	fsFaultOf := cli.FsFaultFlags()
 	newLog := cli.LogFlags("vcoma-report")
 	flag.Parse()
@@ -118,7 +117,6 @@ func run() (int, error) {
 		MetricsInterval: *metricsInt,
 		KeepGoing:       *keepGoing,
 		JobTimeout:      *jobTimeout,
-		Retry:           retryOf(),
 		Budget:          budgetOf(),
 		Chaos:           chaos,
 	}

@@ -32,7 +32,6 @@ func run() int {
 	drainGrace := flag.Duration("drain-grace", 5*time.Second, "HTTP shutdown grace on SIGTERM")
 	faultControl := flag.Bool("fsfault-control", false, "expose POST /debug/fsfault for swapping the failpoint spec at runtime (chaos drills only)")
 	budget, jobTimeout := cli.BudgetFlags()
-	retry := cli.RetryFlags()
 	fsFaultOf := cli.FsFaultFlags()
 	newLog := cli.LogFlags("vcoma-serve")
 	flag.Parse()
@@ -68,7 +67,6 @@ func run() int {
 		MaxQueue:      *queueLen,
 		MaxStoreBytes: *maxStoreMB << 20,
 		JobTimeout:    *jobTimeout,
-		Retry:         retry(),
 		Budget:        budget(),
 		Metrics:       *jobMetrics,
 		Chaos:         chaos,

@@ -1,7 +1,8 @@
 // Package cli holds the resilience plumbing shared by the vcoma commands:
-// signal-aware run contexts and the flag groups that arm the simulation
-// watchdog and the runner's retry policy. Keeping these in one place makes
-// every binary interruptible and supervisable the same way.
+// signal-aware run contexts, the exit-code convention, and the flag groups
+// that arm the simulation watchdog, the per-pass deadline and storage fault
+// injection. Keeping these in one place makes every binary interruptible
+// and supervisable the same way.
 package cli
 
 import (
@@ -17,7 +18,6 @@ import (
 	"time"
 
 	"vcoma/internal/fsio"
-	"vcoma/internal/runner"
 	"vcoma/internal/sim"
 )
 
@@ -150,15 +150,4 @@ func AtomicOutput(fs *fsio.FS, tag, path string, render func(io.Writer) error) e
 		return err
 	}
 	return fs.WriteFileAtomic(tag, path, buf.Bytes())
-}
-
-// RetryFlags registers the transient-retry flag and returns a function
-// assembling the runner.Retry policy after flag.Parse.
-func RetryFlags() func() runner.Retry {
-	retries := flag.Int("retries", 0, "retry transiently-failed passes up to this many times (exponential backoff with jitter; 0 = no retries)")
-	return func() runner.Retry {
-		r := runner.DefaultRetry
-		r.Max = *retries
-		return r
-	}
 }

@@ -74,9 +74,6 @@ type Suite struct {
 	// JobTimeout bounds each pass with a context deadline (see
 	// runner.Options.JobTimeout). 0 means unbounded.
 	JobTimeout time.Duration
-	// Retry is the transient-failure retry policy (see
-	// runner.Options.Retry).
-	Retry runner.Retry
 	// Budget arms the simulation watchdog of every pass: cycle, event,
 	// forward-progress and wall-clock limits, tripping with a structured
 	// diagnostic dump. The zero budget is disarmed.
@@ -378,7 +375,6 @@ func (s *Suite) Run() (*SuiteResult, error) {
 		Metrics:         s.Metrics,
 		MetricsInterval: s.MetricsInterval,
 		JobTimeout:      s.JobTimeout,
-		Retry:           s.Retry,
 		Journal:         s.Journal,
 	})
 	if pr == nil || (runErr != nil && !s.KeepGoing) {

@@ -63,7 +63,7 @@ func TestParseFailpointsGrammar(t *testing.T) {
 		"torn:x",         // missing bytes
 		"torn:x:-1",      // negative bytes
 		"powercut:x",     // not a number
-		"flaky:put:1",    // chaos kind, not an fsfault kind
+		"hang:put",       // chaos kind, not an fsfault kind
 		"enospc:put:1:extra",
 	}
 	for _, spec := range bad {

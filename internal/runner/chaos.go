@@ -14,10 +14,10 @@ import (
 // Chaos is a fault injector for the experiment pipeline itself — the
 // negative-testing discipline of coherence.InjectTestBug applied one layer
 // up. It wraps a job plan so that selected jobs panic, hang until their
-// context aborts them, fail transiently, or trigger a mid-run cancellation,
-// and it can corrupt on-disk cache entries in place; the chaos tests and
-// the CI chaos smoke use it to prove the supervisor detects, retries,
-// quarantines and resumes correctly.
+// context aborts them, or trigger a mid-run cancellation, and it can
+// corrupt on-disk cache entries in place; the chaos tests and the CI chaos
+// smoke use it to prove the supervisor detects, quarantines and resumes
+// correctly.
 //
 // Faults are matched by job-name substring and injected deterministically,
 // so a chaos run is as reproducible as a healthy one.
@@ -25,7 +25,6 @@ type Chaos struct {
 	Faults []Fault
 
 	mu        sync.Mutex
-	attempts  map[string]int
 	completed int
 	cancel    context.CancelCauseFunc
 }
@@ -40,10 +39,6 @@ const (
 	// modelling a hung simulation that only the per-job deadline (or a
 	// run-level cancellation) can reclaim.
 	FaultHang
-	// FaultFlaky makes matching jobs fail with a transient error on their
-	// first Count attempts, then succeed — exercising the retry/backoff
-	// path end to end.
-	FaultFlaky
 	// FaultCancel cancels the run context after Count jobs have completed,
 	// modelling a SIGTERM arriving mid-sweep.
 	FaultCancel
@@ -54,8 +49,8 @@ const (
 )
 
 // Fault is one injected failure: a kind, a job-name substring to match
-// (unused for FaultCancel), and a count (FaultFlaky: transient failures
-// before success; FaultCancel: completed jobs before cancellation).
+// (unused for FaultCancel), and a count (FaultCancel: completed jobs
+// before cancellation).
 type Fault struct {
 	Kind  FaultKind
 	Match string
@@ -67,11 +62,10 @@ var ErrChaosCancel = errors.New("chaos: injected mid-run cancellation")
 
 // ParseChaos parses a comma-separated fault spec:
 //
-//	panic:<substr>      matching jobs panic
-//	hang:<substr>       matching jobs block until their context aborts them
-//	flaky:<substr>:<k>  matching jobs fail transiently k times, then succeed
-//	cancel:<n>          cancel the run after n completed jobs
-//	corrupt:<substr>    corrupt matching jobs' cache entries before the run
+//	panic:<substr>    matching jobs panic
+//	hang:<substr>     matching jobs block until their context aborts them
+//	cancel:<n>        cancel the run after n completed jobs
+//	corrupt:<substr>  corrupt matching jobs' cache entries before the run
 //
 // An empty spec yields a nil (disarmed) Chaos.
 func ParseChaos(spec string) (*Chaos, error) {
@@ -79,11 +73,11 @@ func ParseChaos(spec string) (*Chaos, error) {
 	if spec == "" {
 		return nil, nil
 	}
-	c := &Chaos{attempts: make(map[string]int)}
+	c := &Chaos{}
 	for _, part := range strings.Split(spec, ",") {
 		fields := strings.Split(strings.TrimSpace(part), ":")
 		bad := func() error {
-			return fmt.Errorf("runner: bad chaos fault %q (want panic:<substr>, hang:<substr>, flaky:<substr>:<k>, cancel:<n>, or corrupt:<substr>)", part)
+			return fmt.Errorf("runner: bad chaos fault %q (want panic:<substr>, hang:<substr>, cancel:<n>, or corrupt:<substr>)", part)
 		}
 		f := Fault{}
 		switch fields[0] {
@@ -93,15 +87,6 @@ func ParseChaos(spec string) (*Chaos, error) {
 			}
 			f.Kind = map[string]FaultKind{"panic": FaultPanic, "hang": FaultHang, "corrupt": FaultCorrupt}[fields[0]]
 			f.Match = fields[1]
-		case "flaky":
-			if len(fields) != 3 || fields[1] == "" {
-				return nil, bad()
-			}
-			k, err := strconv.Atoi(fields[2])
-			if err != nil || k < 1 {
-				return nil, bad()
-			}
-			f.Kind, f.Match, f.Count = FaultFlaky, fields[1], k
 		case "cancel":
 			if len(fields) != 2 {
 				return nil, bad()
@@ -131,8 +116,6 @@ func (c *Chaos) String() string {
 			parts = append(parts, "panic:"+f.Match)
 		case FaultHang:
 			parts = append(parts, "hang:"+f.Match)
-		case FaultFlaky:
-			parts = append(parts, fmt.Sprintf("flaky:%s:%d", f.Match, f.Count))
 		case FaultCancel:
 			parts = append(parts, fmt.Sprintf("cancel:%d", f.Count))
 		case FaultCorrupt:
@@ -179,12 +162,8 @@ func (c *Chaos) Wrap(jobs []Job) []Job {
 	return out
 }
 
-// before injects pre-execution faults for one attempt of the named job.
+// before injects pre-execution faults into one execution of the named job.
 func (c *Chaos) before(ctx context.Context, name string) error {
-	c.mu.Lock()
-	attempt := c.attempts[name]
-	c.attempts[name]++
-	c.mu.Unlock()
 	for _, f := range c.Faults {
 		if f.Match == "" || !strings.Contains(name, f.Match) {
 			continue
@@ -195,10 +174,6 @@ func (c *Chaos) before(ctx context.Context, name string) error {
 		case FaultHang:
 			<-ctx.Done()
 			return ctx.Err()
-		case FaultFlaky:
-			if attempt < f.Count {
-				return Transient(fmt.Errorf("chaos: injected transient failure %d/%d in %s", attempt+1, f.Count, name))
-			}
 		}
 	}
 	return nil

@@ -13,7 +13,7 @@ import (
 //
 // Run natively:  go test -run=^$ -fuzz=FuzzParseChaos ./internal/runner/
 func FuzzParseChaos(f *testing.F) {
-	kinds := map[string]FaultKind{"panic": FaultPanic, "hang": FaultHang, "flaky": FaultFlaky, "cancel": FaultCancel, "corrupt": FaultCorrupt}
+	kinds := map[string]FaultKind{"panic": FaultPanic, "hang": FaultHang, "cancel": FaultCancel, "corrupt": FaultCorrupt}
 	f.Fuzz(func(t *testing.T, spec string) {
 		c, err := ParseChaos(spec)
 		if err != nil || c == nil {

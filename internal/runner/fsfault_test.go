@@ -138,9 +138,9 @@ func TestTornJournalAppendIsDroppedOnResume(t *testing.T) {
 		t.Fatalf("CreateJournal: %v", err)
 	}
 	fs.SetFailpoints(fsio.MustFailpoints("torn:journal:5"))
-	j.record(Result{Name: "jobs/one", Attempts: 1})
+	j.record(Result{Name: "jobs/one"})
 	fs.SetFailpoints(nil)
-	j.record(Result{Name: "jobs/two", Attempts: 1})
+	j.record(Result{Name: "jobs/two"})
 	if err := j.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -168,8 +168,8 @@ func TestJournalAppendsAfterPowerCutDoNotCorruptEarlierRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("CreateJournal: %v", err)
 	}
-	j.record(Result{Name: "jobs/one", Attempts: 1})
-	j.record(Result{Name: "jobs/two", Attempts: 1}) // power is off; swallowed
+	j.record(Result{Name: "jobs/one"})
+	j.record(Result{Name: "jobs/two"}) // power is off; swallowed
 	j.Close()
 
 	_, entries, err := ResumeJournal(jpath, plan, nil)
@@ -214,58 +214,5 @@ func TestEvictionUnderRemoveFailureKeepsCacheConsistent(t *testing.T) {
 	}
 	if c.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", c.Len())
-	}
-}
-
-func TestClassifyDisk(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want ErrClass
-	}{
-		{"enospc", syscall.ENOSPC, ClassDisk},
-		{"wrapped enospc", fmt.Errorf("saving: %w", syscall.ENOSPC), ClassDisk},
-		{"eio", fmt.Errorf("x: %w", syscall.EIO), ClassDisk},
-		{"erofs", syscall.EROFS, ClassDisk},
-		{"edquot", syscall.EDQUOT, ClassDisk},
-		{"injected fault", &fsio.FaultError{Op: "write", Err: syscall.ENOSPC}, ClassDisk},
-		// Precedence: disk beats an explicit Transient marker — retrying a
-		// full disk inside a backoff window is wasted time.
-		{"transient-wrapped disk", Transient(syscall.ENOSPC), ClassDisk},
-		// ...but a panic still outranks everything.
-		{"panic over disk", &PanicError{Job: "j", Value: syscall.ENOSPC}, ClassPanic},
-		{"plain transient", Transient(errors.New("flaky")), ClassTransient},
-		{"cancelled", context.Canceled, ClassCancelled},
-		{"deadline", context.DeadlineExceeded, ClassTimeout},
-		{"permanent", errors.New("deterministic"), ClassPermanent},
-		{"nil", nil, ClassNone},
-	}
-	for _, tc := range cases {
-		if got := Classify(tc.err); got != tc.want {
-			t.Errorf("Classify(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-	if ClassDisk.String() != "disk" {
-		t.Errorf("ClassDisk.String() = %q", ClassDisk.String())
-	}
-}
-
-func TestRunDoesNotRetryDiskErrors(t *testing.T) {
-	attempts := 0
-	job := New("a", "", func(context.Context) (int, error) {
-		attempts++
-		return 0, Transient(fmt.Errorf("store: %w", syscall.ENOSPC))
-	})
-	res, _ := Run(context.Background(), []Job{job}, Options{
-		Workers: 1,
-		Policy:  CollectAll,
-		Retry:   Retry{Max: 3, BaseDelay: 1, MaxDelay: 1},
-	})
-	r := res.Jobs["a"]
-	if r.Class != ClassDisk {
-		t.Fatalf("class = %v, want ClassDisk", r.Class)
-	}
-	if attempts != 1 {
-		t.Fatalf("disk error retried %d times; must fail fast", attempts)
 	}
 }

@@ -44,14 +44,14 @@ type journalHeader struct {
 	Jobs int `json:"jobs"`
 }
 
-// JournalEntry is one recorded job completion.
+// JournalEntry is one recorded job completion. The reader ignores fields
+// it does not know, so journals whose entries also carry "class" and
+// "attempts" still resume under the same schema.
 type JournalEntry struct {
-	Job      string `json:"job"`
-	Status   string `json:"status"` // "done" or "failed"
-	Class    string `json:"class,omitempty"`
-	Error    string `json:"error,omitempty"`
-	Attempts int    `json:"attempts,omitempty"`
-	Cached   bool   `json:"cached,omitempty"`
+	Job    string `json:"job"`
+	Status string `json:"status"` // "done" or "failed"
+	Error  string `json:"error,omitempty"`
+	Cached bool   `json:"cached,omitempty"`
 }
 
 // SweepJournal opens the journal of a sweep over jobs whose results live in
@@ -113,10 +113,9 @@ func ResumeJournal(path string, plan Key, fs *fsio.FS) (*Journal, map[string]Jou
 
 // record appends one job completion and syncs it to disk.
 func (j *Journal) record(r Result) {
-	e := JournalEntry{Job: r.Name, Status: "done", Attempts: r.Attempts, Cached: r.Cached}
+	e := JournalEntry{Job: r.Name, Status: "done", Cached: r.Cached}
 	if r.Err != nil {
 		e.Status = "failed"
-		e.Class = r.Class.String()
 		e.Error = r.Err.Error()
 	}
 	j.mu.Lock()

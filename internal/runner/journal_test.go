@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -16,8 +17,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.record(Result{Name: "a", Attempts: 1})
-	j.record(Result{Name: "b", Err: errors.New("boom"), Class: ClassPermanent, Attempts: 1})
+	j.record(Result{Name: "a"})
+	j.record(Result{Name: "b", Err: errors.New("boom")})
 	j.record(Result{Name: "c", Cached: true})
 	if j.Done() != 2 || j.Failed() != 1 {
 		t.Fatalf("done=%d failed=%d, want 2/1", j.Done(), j.Failed())
@@ -34,7 +35,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if len(entries) != 3 {
 		t.Fatalf("resumed %d entries, want 3", len(entries))
 	}
-	if e := entries["b"]; e.Status != "failed" || e.Class != "permanent" || !strings.Contains(e.Error, "boom") {
+	if e := entries["b"]; e.Status != "failed" || !strings.Contains(e.Error, "boom") {
 		t.Errorf("entry b = %+v", e)
 	}
 	if !entries["c"].Cached {
@@ -44,6 +45,38 @@ func TestJournalRoundTrip(t *testing.T) {
 	j2.record(Result{Name: "d"})
 	if j2.Done() != 3 {
 		t.Errorf("done after resumed append = %d, want 3", j2.Done())
+	}
+}
+
+// A journal written when entries still carried an error class and an
+// attempt count resumes under the same plan: the reader ignores the
+// fields, and each entry keeps its status and error.
+func TestJournalResumesEntriesWithClassAndAttempts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.json")
+	plan := KeyOf("plan-a")
+	old := `{"schema":"vcoma-journal-v1","plan":"` + string(plan) + `","jobs":3}
+{"job":"a","status":"done","attempts":1}
+{"job":"b","status":"failed","class":"permanent","error":"b: boom","attempts":2}
+{"job":"c","status":"done","cached":true}
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, entries, err := ResumeJournal(path, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	want := map[string]JournalEntry{
+		"a": {Job: "a", Status: "done"},
+		"b": {Job: "b", Status: "failed", Error: "b: boom"},
+		"c": {Job: "c", Status: "done", Cached: true},
+	}
+	if !reflect.DeepEqual(entries, want) {
+		t.Fatalf("resumed entries = %+v, want %+v", entries, want)
+	}
+	if j.Done() != 2 || j.Failed() != 1 {
+		t.Errorf("done=%d failed=%d, want 2/1", j.Done(), j.Failed())
 	}
 }
 

@@ -95,15 +95,11 @@ type Options struct {
 	// MetricsInterval is the sampler epoch in simulated cycles for
 	// Metrics-enabled runs; 0 means DefaultMetricsInterval.
 	MetricsInterval uint64
-	// JobTimeout bounds every job attempt with a context deadline; jobs
-	// that honour their context (all simulation passes do, via the sim
-	// watchdog) abort with a timeout-class error and a diagnostic dump.
+	// JobTimeout bounds every job with a context deadline; jobs that
+	// honour their context (all simulation passes do, via the sim
+	// watchdog) abort with a deadline error and a diagnostic dump.
 	// 0 means unbounded.
 	JobTimeout time.Duration
-	// Retry is the transient-failure policy: jobs whose error classifies
-	// as ClassTransient re-run with exponential backoff up to Retry.Max
-	// times. The zero value never retries.
-	Retry Retry
 	// Journal, if non-nil, records every completed job so an interrupted
 	// suite can be resumed (vcoma-report -resume).
 	Journal *Journal
@@ -148,11 +144,6 @@ type Result struct {
 	Skipped bool
 	// Wall is the job's observed wall time (≈0 for cache hits and skips).
 	Wall time.Duration
-	// Attempts is how many times the job executed (> 1 after transient
-	// retries; 0 for cache hits and skips).
-	Attempts int
-	// Class is the taxonomy of Err (ClassNone when the job succeeded).
-	Class ErrClass
 }
 
 // RunResult is the outcome of a whole Run.
@@ -336,8 +327,8 @@ func Run(ctx context.Context, jobs []Job, opt Options) (*RunResult, error) {
 	return rr, nil
 }
 
-// execute runs one job: cache probe, recovery-wrapped attempts with
-// bounded retry for transient failures, cache fill.
+// execute runs one job: cache probe, one recovery-wrapped attempt, cache
+// fill. A simulation is deterministic, so a failed job is not run again.
 func execute(ctx context.Context, j *Job, opt Options) (res Result) {
 	start := time.Now()
 	res.Name = j.Name
@@ -360,28 +351,10 @@ func execute(ctx context.Context, j *Job, opt Options) (res Result) {
 		probe.SetAttr("hit", "false")
 		probe.End()
 	}
+	asp := span.StartChild("attempt")
 	var o *obs.Observer
-	for attempt := 0; ; attempt++ {
-		res.Attempts = attempt + 1
-		asp := span.StartChild("attempt")
-		asp.SetAttrUint("n", uint64(attempt+1))
-		res.Value, o, res.Err = runAttempt(obs.WithSpan(ctx, asp), j, opt)
-		res.Class = Classify(res.Err)
-		if res.Err != nil {
-			asp.SetAttr("class", res.Class.String())
-		}
-		asp.End()
-		if res.Class != ClassTransient || attempt >= opt.Retry.Max {
-			break
-		}
-		if !sleepCtx(ctx, opt.Retry.delay(j.Name, attempt)) {
-			// Cancelled while backing off: surface the cancellation, keep
-			// the transient cause for the log.
-			res.Err = fmt.Errorf("%w (while backing off after: %v)", context.Cause(ctx), res.Err)
-			res.Class = ClassCancelled
-			break
-		}
-	}
+	res.Value, o, res.Err = runAttempt(obs.WithSpan(ctx, asp), j, opt)
+	asp.End()
 	res.Wall = time.Since(start)
 	if res.Err == nil && opt.Cache != nil && j.Key != "" {
 		// A failed write only costs a recomputation next run.
@@ -400,8 +373,8 @@ func execute(ctx context.Context, j *Job, opt Options) (res Result) {
 	return res
 }
 
-// runAttempt performs one recovery-wrapped call of the job function under
-// the per-attempt deadline, returning the attempt's observer for the
+// runAttempt performs the recovery-wrapped call of the job function under
+// the per-job deadline, returning the job's observer for the
 // metrics sidecar. The call carries the pprof labels job=<Name> and
 // key=<Key>, so any CPU profile of the process attributes its samples to
 // passes (go tool pprof -tagfocus job=<regexp>).

@@ -124,16 +124,14 @@ func TestRunPanicIsolation(t *testing.T) {
 	}
 }
 
-// Every attempt runs under the pprof labels job=<Name> and key=<Key>, a
-// retried one included, and they are set on the worker goroutine itself, so
-// a CPU profile of the process attributes each sample to its pass.
+// Every job runs under the pprof labels job=<Name> and key=<Key>, set on
+// the worker goroutine itself, so a CPU profile of the process attributes
+// each sample to its pass.
 func TestRunLabelsEveryAttempt(t *testing.T) {
 	var mu sync.Mutex
 	seen := map[string][]string{}
-	labelled := func(name string, failFirst bool) Job {
-		attempts := 0
+	labelled := func(name string) Job {
 		return New(name, Key("key-"+name), func(ctx context.Context) (int, error) {
-			attempts++
 			jobLabel, _ := pprof.Label(ctx, "job")
 			keyLabel, _ := pprof.Label(ctx, "key")
 			var goroutines strings.Builder
@@ -142,30 +140,84 @@ func TestRunLabelsEveryAttempt(t *testing.T) {
 			mu.Lock()
 			seen[name] = append(seen[name], fmt.Sprintf("%s|%s|%v", jobLabel, keyLabel, onGoroutine))
 			mu.Unlock()
-			if failFirst && attempts == 1 {
-				return 0, Transient(errors.New("injected"))
-			}
-			return attempts, nil
+			return 1, nil
 		})
 	}
-	jobs := []Job{labelled("fig10/OCEAN/DLB/8", true), labelled("serve/FFT/L0-TLB", false)}
-	_, err := Run(context.Background(), jobs, Options{
-		Workers: 2,
-		Retry:   Retry{Max: 1, BaseDelay: time.Microsecond, MaxDelay: time.Millisecond},
-	})
+	names := []string{"fig10/OCEAN/DLB/8", "serve/FFT/L0-TLB"}
+	_, err := Run(context.Background(), []Job{labelled(names[0]), labelled(names[1])}, Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, want := range map[string]int{"fig10/OCEAN/DLB/8": 2, "serve/FFT/L0-TLB": 1} {
+	for _, name := range names {
 		got := seen[name]
-		if len(got) != want {
-			t.Fatalf("%s: %d attempts labelled, want %d", name, len(got), want)
+		if len(got) != 1 {
+			t.Fatalf("%s: %d attempts labelled, want 1", name, len(got))
 		}
 		for i, g := range got {
 			if w := name + "|key-" + name + "|true"; g != w {
 				t.Errorf("%s attempt %d: labels %q, want %q", name, i+1, g, w)
 			}
 		}
+	}
+}
+
+// A failed job runs once and its error is the job's.
+func TestRunPermanentFailsFast(t *testing.T) {
+	attempts := 0
+	bad := errors.New("deterministic failure")
+	jobs := []Job{job("perm", func(context.Context) (int, error) {
+		attempts++
+		return 0, bad
+	})}
+	rr, err := Run(context.Background(), jobs, Options{})
+	if !errors.Is(err, bad) {
+		t.Fatalf("err = %v, want %v", err, bad)
+	}
+	if attempts != 1 {
+		t.Errorf("failed job ran %d times, want 1", attempts)
+	}
+	if r := rr.Jobs["perm"]; !errors.Is(r.Err, bad) || r.Skipped {
+		t.Errorf("perm: %+v, want its own error", r)
+	}
+}
+
+// A hung job is reclaimed by the per-job deadline and runs once.
+func TestRunJobTimeoutAborts(t *testing.T) {
+	attempts := 0
+	jobs := []Job{job("hung", func(ctx context.Context) (int, error) {
+		attempts++
+		<-ctx.Done()
+		return 0, ctx.Err()
+	})}
+	rr, err := Run(context.Background(), jobs, Options{JobTimeout: 5 * time.Millisecond})
+	if err == nil {
+		t.Fatal("want timeout error")
+	}
+	if attempts != 1 {
+		t.Errorf("timed-out job ran %d times, want 1", attempts)
+	}
+	if r := rr.Jobs["hung"]; !errors.Is(r.Err, context.DeadlineExceeded) || r.Skipped {
+		t.Errorf("hung: %+v, want a deadline error", r)
+	}
+}
+
+// A panicking job fails with a *PanicError and runs once.
+func TestRunPanicClassified(t *testing.T) {
+	attempts := 0
+	jobs := []Job{job("bomb", func(context.Context) (int, error) {
+		attempts++
+		panic("injected")
+	})}
+	rr, err := Run(context.Background(), jobs, Options{})
+	if err == nil {
+		t.Fatal("want panic error")
+	}
+	if attempts != 1 {
+		t.Errorf("panicking job ran %d times, want 1", attempts)
+	}
+	var pe *PanicError
+	if !errors.As(rr.Jobs["bomb"].Err, &pe) || pe.Job != "bomb" {
+		t.Errorf("bomb: %v, want a *PanicError naming the job", rr.Jobs["bomb"].Err)
 	}
 }
 
@@ -275,8 +327,8 @@ func TestRunCoalescesEqualKeys(t *testing.T) {
 			t.Fatalf("%s = %d, %v", name, v, err)
 		}
 	}
-	if r := rr.Jobs["second"]; !r.Cached || r.Attempts != 0 {
-		t.Fatalf("second: %+v, want cached with 0 attempts", r)
+	if r := rr.Jobs["second"]; !r.Cached {
+		t.Fatalf("second: %+v, want cached", r)
 	}
 	if sum := prog.Summary(); sum.Done != 3 || sum.CacheHits != 1 {
 		t.Fatalf("progress: done=%d hits=%d", sum.Done, sum.CacheHits)
@@ -295,7 +347,7 @@ func TestRunFailedKeyPassesToNextJob(t *testing.T) {
 	if err == nil || rr.Jobs["first"].Err == nil {
 		t.Fatalf("first did not fail: %v", err)
 	}
-	if r := rr.Jobs["second"]; r.Err != nil || r.Cached || r.Attempts != 1 {
+	if r := rr.Jobs["second"]; r.Err != nil || r.Cached {
 		t.Fatalf("second: %+v, want computed", r)
 	}
 	if r := rr.Jobs["third"]; r.Err != nil || !r.Cached || r.Value != 7 {

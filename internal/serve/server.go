@@ -36,10 +36,8 @@ type Options struct {
 	MaxQueue int
 	// MaxStoreBytes bounds the artifact store; 0 = unbounded.
 	MaxStoreBytes int64
-	// JobTimeout bounds each simulation attempt; 0 = unbounded.
+	// JobTimeout bounds each simulation; 0 = unbounded.
 	JobTimeout time.Duration
-	// Retry re-runs transiently-failed simulations.
-	Retry runner.Retry
 	// Budget arms the simulation watchdog inside every job.
 	Budget sim.Budget
 	// Metrics writes per-job observability sidecars next to artifacts.
@@ -314,7 +312,6 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		Progress:   progress,
 		Metrics:    s.opts.Metrics,
 		JobTimeout: s.opts.JobTimeout,
-		Retry:      s.opts.Retry,
 	})
 	pw.flush()
 	elapsed := time.Since(start)

@@ -173,8 +173,7 @@ func (d *Dump) Render() string {
 }
 
 // WatchdogError is the structured abort the watchdog raises when a budget
-// is exceeded. It implements Timeout() so the experiment runner classifies
-// it into the timeout error class (aborted-with-diagnostic, not retryable).
+// is exceeded, carrying the diagnostic dump.
 type WatchdogError struct {
 	Dump *Dump
 }
@@ -183,9 +182,6 @@ type WatchdogError struct {
 func (e *WatchdogError) Error() string {
 	return fmt.Sprintf("sim: watchdog: %s (cycle %d, %d events)", e.Dump.Reason, e.Dump.Cycle, e.Dump.Events)
 }
-
-// Timeout marks the error as a budget/deadline abort (net.Error idiom).
-func (e *WatchdogError) Timeout() bool { return true }
 
 // SetBudget arms the watchdog. Call before Run; a zero budget disarms it.
 func (e *Engine) SetBudget(b Budget) { e.budget = b }

@@ -57,9 +57,6 @@ func TestWatchdogLivelockDetected(t *testing.T) {
 	if !errors.As(err, &wd) {
 		t.Fatalf("want *WatchdogError, got %v", err)
 	}
-	if !wd.Timeout() {
-		t.Error("WatchdogError must report Timeout() = true")
-	}
 	d := wd.Dump
 	if d.StallWindow < 1000 {
 		t.Errorf("stall window %d, want >= 1000", d.StallWindow)

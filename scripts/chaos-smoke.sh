@@ -2,8 +2,9 @@
 # Chaos smoke: exercise the supervision layer end to end through the real
 # CLIs at test scale. Proves the acceptance path of the resilience work: an
 # interrupted report run resumes byte-identically, corrupted cache entries are
-# quarantined (never trusted), a hung pass is reclaimed by its deadline
-# with partial output, and a tripped watchdog yields a diagnostic dump.
+# quarantined (never trusted), a panicking pass and a hung pass (reclaimed
+# by its deadline) each leave partial output naming the failed cell, and a
+# tripped watchdog yields a diagnostic dump.
 #
 # Runs in a scratch directory; pass one as $1 (default: ./chaos-smoke.tmp).
 set -eu
@@ -39,6 +40,14 @@ echo "== chaos: corrupted cache entries are quarantined, then recomputed"
 bin/vcoma-report -only table2 -scale test -cache cache-chaos -chaos corrupt:observe > cor.out 2> cor.err
 cmp ref.out cor.out || { echo "FAIL: output after corruption differs" >&2; exit 1; }
 ls cache-chaos/quarantine/*.reason > /dev/null 2>&1 || { echo "FAIL: no quarantined entries" >&2; exit 1; }
+
+echo "== chaos: panicking pass is detected, partial output names it and exits 2"
+rc=0
+bin/vcoma-report -only table2 -scale test -bench RADIX -no-cache \
+    -chaos panic:L3 -keep-going > panic.out 2> panic.err || rc=$?
+test "$rc" -eq 2 || { echo "FAIL: panicking run exited $rc, want 2" >&2; exit 1; }
+grep -q '^| .*observe/RADIX/L3-TLB panicked' panic.out || {
+    echo "FAIL: no failed-cells row names the panicked pass" >&2; cat panic.out >&2; exit 1; }
 
 echo "== chaos: hung pass reclaimed by -job-timeout, partial output exits 2"
 rc=0
